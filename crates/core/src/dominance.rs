@@ -9,8 +9,8 @@
 //! shows correlation dominance catches low-volume devices that *shape* the
 //! gateway's behavior.
 
-use crate::similarity::correlation_similarity;
-use wtts_stats::euclidean;
+use crate::engine::correlation_similarity_profiled;
+use wtts_stats::{euclidean, CorProfile, CorScratch, ALPHA};
 use wtts_timeseries::TimeSeries;
 
 /// The paper's dominance threshold.
@@ -33,16 +33,34 @@ pub struct DominantDevice {
 /// `device_series` holds each device's overall traffic aligned with
 /// `gateway_total`. Only significant correlations count (Definition 1
 /// returns 0 otherwise).
+///
+/// Cost model: the gateway total is profiled once per call (one
+/// compaction, rank pass and sort over its `n` minutes), each device once
+/// (over its `m` finite minutes), and one [`CorScratch`] serves every
+/// device. A device's finite minutes are a subset of the total's whenever
+/// the total is the sum of its devices, so each pair takes the subset-mask
+/// tier of [`wtts_stats::cor_tests_profiled`]: the device's cached ranks,
+/// order and tie runs apply verbatim and the total's cached order is only
+/// filtered down to the device's minutes, never sorted again — `O(n)` for
+/// the filter plus `O(m log m)` for Kendall's merge count per device.
+///
+/// Similarities are bit-identical to calling
+/// [`correlation_similarity`](crate::similarity::correlation_similarity)`(total, device)`
+/// per device, on any masks (incomparable masks take the fully filtered
+/// tier), so the ranking is too.
 pub fn dominant_devices(
     gateway_total: &TimeSeries,
     device_series: &[TimeSeries],
     phi: f64,
 ) -> Vec<DominantDevice> {
+    let total = CorProfile::new(gateway_total.values());
+    let mut scratch = CorScratch::new();
     let hits: Vec<(usize, f64)> = device_series
         .iter()
         .enumerate()
         .filter_map(|(i, dev)| {
-            let sim = correlation_similarity(gateway_total.values(), dev.values());
+            let device = CorProfile::new(dev.values());
+            let sim = correlation_similarity_profiled(&total, &device, &mut scratch, ALPHA);
             (sim.value > phi).then_some((i, sim.value))
         })
         .collect();

@@ -107,21 +107,7 @@ pub fn correlation_similarity_profiled(
     alpha: f64,
 ) -> CorSimilarity {
     let (p, s, k) = cor_tests_profiled(a, b, scratch);
-    let mut value = 0.0;
-    let mut best = None;
-    for test in [&p, &s, &k] {
-        if test.significant(alpha) && (best.is_none() || test.value > value) {
-            value = test.value;
-            best = Some(test.coefficient);
-        }
-    }
-    CorSimilarity {
-        value,
-        best,
-        pearson: p,
-        spearman: s,
-        kendall: k,
-    }
+    CorSimilarity::from_tests(p, s, k, alpha)
 }
 
 /// `cor(X, Y)` of Definition 1 over two profiles at the paper's α = 0.05.

@@ -29,6 +29,32 @@ pub struct CorSimilarity {
 }
 
 impl CorSimilarity {
+    /// The Definition-1 reduction of a pair's three tests: the largest
+    /// coefficient significant at level `alpha`, `0` when none is. Both the
+    /// from-scratch and the profiled Definition-1 paths reduce here.
+    pub fn from_tests(
+        pearson: CorrelationTest,
+        spearman: CorrelationTest,
+        kendall: CorrelationTest,
+        alpha: f64,
+    ) -> CorSimilarity {
+        let mut value = 0.0;
+        let mut best = None;
+        for test in [&pearson, &spearman, &kendall] {
+            if test.significant(alpha) && (best.is_none() || test.value > value) {
+                value = test.value;
+                best = Some(test.coefficient);
+            }
+        }
+        CorSimilarity {
+            value,
+            best,
+            pearson,
+            spearman,
+            kendall,
+        }
+    }
+
     /// Whether any coefficient was significant.
     pub fn is_significant(&self) -> bool {
         self.best.is_some()
@@ -44,24 +70,7 @@ impl CorSimilarity {
 ///
 /// Missing values are handled pairwise by the underlying tests.
 pub fn correlation_similarity_at(x: &[f64], y: &[f64], alpha: f64) -> CorSimilarity {
-    let p = pearson(x, y);
-    let s = spearman(x, y);
-    let k = kendall(x, y);
-    let mut value = 0.0;
-    let mut best = None;
-    for test in [&p, &s, &k] {
-        if test.significant(alpha) && (best.is_none() || test.value > value) {
-            value = test.value;
-            best = Some(test.coefficient);
-        }
-    }
-    CorSimilarity {
-        value,
-        best,
-        pearson: p,
-        spearman: s,
-        kendall: k,
-    }
+    CorSimilarity::from_tests(pearson(x, y), spearman(x, y), kendall(x, y), alpha)
 }
 
 /// Evaluates Definition 1 at the paper's α = 0.05.

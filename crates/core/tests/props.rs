@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use wtts_core::background::{capped_tau, estimate_tau, remove_background, TAU_CAP};
 use wtts_core::clustering::average_linkage;
+use wtts_core::dominance::{dominant_devices, rank_dominants, DominantDevice};
 use wtts_core::engine::{
     cor_matrix, cor_matrix_pruned, correlation_similarity_profiled, profile_series, sketch_series,
     CorMatrixConfig, PruneConfig,
@@ -30,8 +31,158 @@ fn holey_value() -> impl Strategy<Value = f64> {
     ]
 }
 
+/// Definition 4 from scratch: `correlation_similarity` per device, then the
+/// shared ranking. The profiled scan must match it bit for bit.
+fn dominance_oracle(total: &TimeSeries, devices: &[TimeSeries], phi: f64) -> Vec<DominantDevice> {
+    rank_dominants(
+        devices
+            .iter()
+            .enumerate()
+            .filter_map(|(i, d)| {
+                let sim = correlation_similarity(total.values(), d.values()).value;
+                (sim > phi).then_some((i, sim))
+            })
+            .collect(),
+    )
+}
+
+/// Same devices in the same order, same ranks, `to_bits`-equal similarities.
+fn assert_dominance_matches_oracle(total: &TimeSeries, devices: &[TimeSeries]) {
+    for phi in [0.0, 0.6, 0.8] {
+        let fast = dominant_devices(total, devices, phi);
+        let oracle = dominance_oracle(total, devices, phi);
+        assert_eq!(fast.len(), oracle.len(), "phi {phi}: dominant count");
+        for (f, o) in fast.iter().zip(&oracle) {
+            assert_eq!(f.device, o.device, "phi {phi}: device order");
+            assert_eq!(f.rank, o.rank, "phi {phi}: rank of device {}", o.device);
+            assert_eq!(
+                f.similarity.to_bits(),
+                o.similarity.to_bits(),
+                "phi {phi}: similarity of device {}",
+                o.device
+            );
+        }
+    }
+}
+
+/// How a device's finite minutes relate to the total's — which tier of
+/// `cor_tests_profiled` the pair takes.
+fn mask_tier(total: &[f64], device: &[f64]) -> &'static str {
+    let device_within = total
+        .iter()
+        .zip(device)
+        .all(|(t, d)| !d.is_finite() || t.is_finite());
+    let total_within = total
+        .iter()
+        .zip(device)
+        .all(|(t, d)| !t.is_finite() || d.is_finite());
+    match (device_within, total_within) {
+        (true, true) => "equal",
+        (true, false) => "device subset",
+        (false, true) => "total subset",
+        (false, false) => "incomparable",
+    }
+}
+
+/// A gateway whose devices cover every degenerate case of Definition 4: a
+/// complete shaper, a holey portable following it, noise, a constant, an
+/// all-NaN device, a device with two finite minutes, and (last) a copy of
+/// the total. `outage` blanks a minute range on every device.
+fn dominance_fixture(outage: std::ops::Range<usize>) -> (TimeSeries, Vec<TimeSeries>) {
+    let n = 720;
+    let burst = |i: usize| {
+        if (i / 45) % 4 == 1 {
+            40_000.0 + ((i * 37) % 11) as f64
+        } else {
+            ((i * 13) % 7) as f64
+        }
+    };
+    let shaper: Vec<f64> = (0..n).map(burst).collect();
+    let portable: Vec<f64> = (0..n)
+        .map(|i| {
+            if (i / 90) % 3 == 2 {
+                f64::NAN
+            } else {
+                (burst(i) * 0.01).floor() + ((i * 7) % 5) as f64
+            }
+        })
+        .collect();
+    let noise: Vec<f64> = (0..n).map(|i| ((i * 7919) % 100) as f64).collect();
+    let constant = vec![300.0; n];
+    let absent = vec![f64::NAN; n];
+    let blip: Vec<f64> = (0..n)
+        .map(|i| if i == 5 || i == 400 { 7.0 } else { f64::NAN })
+        .collect();
+    let mut devices: Vec<TimeSeries> = [shaper, portable, noise, constant, absent, blip]
+        .into_iter()
+        .map(|mut v| {
+            v[outage.clone()].fill(f64::NAN);
+            TimeSeries::per_minute(v)
+        })
+        .collect();
+    let total = TimeSeries::sum_all(devices.iter()).expect("devices present");
+    devices.push(total.clone());
+    (total, devices)
+}
+
+#[test]
+fn dominance_bit_identical_on_every_mask_tier() {
+    let mut tiers = std::collections::BTreeSet::new();
+    // A complete total (equal and subset masks), a total with an outage
+    // (subset of a non-complete mask), and that total with NaN injected
+    // where the portable is connected (incomparable masks; the shaper's
+    // mask becomes a superset of the total's).
+    let (complete_total, complete_devices) = dominance_fixture(0..0);
+    let (outage_total, outage_devices) = dominance_fixture(600..620);
+    let mut poisoned = outage_total.clone();
+    poisoned.values_mut()[10..20].fill(f64::NAN);
+    for (total, devices) in [
+        (&complete_total, &complete_devices),
+        (&outage_total, &outage_devices),
+        (&poisoned, &outage_devices),
+    ] {
+        for d in devices {
+            tiers.insert(mask_tier(total.values(), d.values()));
+        }
+        assert_dominance_matches_oracle(total, devices);
+    }
+    assert_eq!(
+        tiers.into_iter().collect::<Vec<_>>(),
+        ["device subset", "equal", "incomparable", "total subset"],
+        "fixture must reach every mask tier"
+    );
+    let strict = dominant_devices(&complete_total, &complete_devices, 0.8);
+    assert!(
+        strict.iter().any(|d| d.device == 0) && strict.iter().any(|d| d.device == 6),
+        "the shaper and the total's copy dominate: {strict:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The profiled dominance scan equals the per-device from-scratch
+    /// oracle on random holey, tie-heavy gateways, with and without NaN
+    /// injected into the total where the first device is finite.
+    #[test]
+    fn dominance_matches_per_device_oracle(
+        data in prop::collection::vec(holey_value(), 24..160),
+        len in 6usize..20,
+        poison in 0usize..3,
+    ) {
+        let devices: Vec<TimeSeries> = data
+            .chunks_exact(len)
+            .map(|c| TimeSeries::per_minute(c.to_vec()))
+            .collect();
+        let Some(mut total) = TimeSeries::sum_all(devices.iter()) else {
+            continue;
+        };
+        let finite: Vec<usize> = (0..len).filter(|&i| devices[0].values()[i].is_finite()).collect();
+        for &i in finite.iter().take(poison) {
+            total.values_mut()[i] = f64::NAN;
+        }
+        assert_dominance_matches_oracle(&total, &devices);
+    }
 
     /// cor() always lies in [-1, 1] and equals 0 or a significant
     /// coefficient.

@@ -15,6 +15,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --release
 
+# `default-members` in Cargo.toml makes plain `cargo test` cover the whole
+# workspace (every crate's unit, integration and property tests).
 echo "== cargo test =="
 cargo test -q
 
@@ -110,6 +112,10 @@ python3 scripts/perf_gate.py --only lag_search
 echo "== kernels bench (smoke) =="
 cargo bench -p wtts-bench --bench kernels -- --smoke
 python3 scripts/perf_gate.py --only kernels
+
+echo "== dominance bench (smoke) =="
+cargo bench -p wtts-bench --bench dominance -- --smoke
+python3 scripts/perf_gate.py --only dominance
 
 echo "== perf budget (all recorded baselines) =="
 python3 scripts/perf_gate.py
