@@ -85,7 +85,7 @@ fn baseline_stationarity(
             .filter(|w| w.weekday.map(|d| d.index() as usize) == Some(weekday))
             .map(|w| w.series.values())
             .collect();
-        *slot = strong_stationarity(&group);
+        *slot = strong_stationarity(&group, None);
     }
     checks
 }

@@ -63,7 +63,6 @@ fn thread_counts() -> Vec<usize> {
 fn engine_config(threads: usize) -> CorMatrixConfig {
     CorMatrixConfig {
         threads: Some(threads),
-        ..CorMatrixConfig::default()
     }
 }
 
@@ -80,7 +79,9 @@ fn bench_pairwise_matrix(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("engine_t{threads}"), n),
                 &n,
-                |b, _| b.iter(|| cor_matrix(&profile_series(black_box(&series)), &config)),
+                |b, _| {
+                    b.iter(|| cor_matrix(&profile_series(black_box(&series), None), &config, None))
+                },
             );
         }
     }
@@ -115,7 +116,11 @@ fn write_baseline() {
         for threads in thread_counts() {
             let config = engine_config(threads);
             let t = median_ms(samples, || {
-                black_box(cor_matrix(&profile_series(black_box(&series)), &config));
+                black_box(cor_matrix(
+                    &profile_series(black_box(&series), None),
+                    &config,
+                    None,
+                ));
             });
             if threads == 1 {
                 single = t;

@@ -29,8 +29,8 @@
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use std::time::Instant;
 use wtts_core::engine::{
-    cor_matrix, cor_matrix_pruned, cor_matrix_pruned_observed, profile_series, sketch_series,
-    CondensedMatrix, CorMatrixConfig, PruneConfig, PruneStats, SparseCorMatrix,
+    cor_matrix, cor_matrix_pruned, profile_series, sketch_series, CondensedMatrix, CorMatrixConfig,
+    PruneConfig, PruneStats, SparseCorMatrix,
 };
 use wtts_core::obs::PipelineObs;
 use wtts_gwsim::{synthetic_windows, SynthConfig};
@@ -47,10 +47,7 @@ fn population(n_gateways: usize) -> Vec<Vec<f64>> {
 
 /// Single-thread matrix config: the committed numbers are one-core numbers.
 fn matrix_config() -> CorMatrixConfig {
-    CorMatrixConfig {
-        threads: Some(1),
-        ..CorMatrixConfig::default()
-    }
+    CorMatrixConfig { threads: Some(1) }
 }
 
 fn prune_config() -> PruneConfig {
@@ -61,14 +58,14 @@ fn prune_config() -> PruneConfig {
 }
 
 fn dense(profiles: &[CorProfile]) -> CondensedMatrix {
-    cor_matrix(profiles, &matrix_config())
+    cor_matrix(profiles, &matrix_config(), None)
 }
 
 fn pruned(
     profiles: &[CorProfile],
     sketches: &[wtts_stats::CorSketch],
 ) -> (SparseCorMatrix, PruneStats) {
-    cor_matrix_pruned(profiles, sketches, &prune_config())
+    cor_matrix_pruned(profiles, sketches, &prune_config(), None)
 }
 
 /// Zero false dismissals, bit for bit: every dense entry ≥ φ must appear in
@@ -98,8 +95,8 @@ fn bench_pruned_pairwise(c: &mut Criterion) {
     group.sample_size(10);
     for n in [500usize, 2_000] {
         let windows = population(n);
-        let profiles = profile_series(&windows);
-        let sketches = sketch_series(&profiles, &prune_config().sketch);
+        let profiles = profile_series(&windows, None);
+        let sketches = sketch_series(&profiles, &prune_config().sketch, None);
         group.bench_with_input(BenchmarkId::new("dense", n), &n, |b, _| {
             b.iter(|| dense(black_box(&profiles)))
         });
@@ -147,8 +144,8 @@ fn write_baseline() {
     let mut speedup_10k = f64::NAN;
     for (k, &n) in sizes.iter().enumerate() {
         let windows = population(n);
-        let profiles = profile_series(&windows);
-        let sketches = sketch_series(&profiles, &prune_config().sketch);
+        let profiles = profile_series(&windows, None);
+        let sketches = sketch_series(&profiles, &prune_config().sketch, None);
 
         let (sparse, stats) = pruned(&profiles, &sketches);
         let pruned_ms = median_ms(pruned_samples[k], || {
@@ -242,10 +239,9 @@ fn smoke(metrics_json: Option<&str>) {
     let start = Instant::now();
 
     let obs = PipelineObs::new();
-    let profiles = profile_series(&windows);
-    let sketches = sketch_series(&profiles, &prune_config().sketch);
-    let (sparse, stats) =
-        cor_matrix_pruned_observed(&profiles, &sketches, &prune_config(), Some(&obs));
+    let profiles = profile_series(&windows, None);
+    let sketches = sketch_series(&profiles, &prune_config().sketch, None);
+    let (sparse, stats) = cor_matrix_pruned(&profiles, &sketches, &prune_config(), Some(&obs));
 
     assert!(stats.conserved(), "prune stats must balance");
     assert!(

@@ -77,7 +77,7 @@ pub fn weekly_motifs(fleet: &Fleet) -> MotifSet {
         }
     }
     let config = MotifConfig::default();
-    let index = MotifIndex::new(&windows, config.min_observations);
+    let index = MotifIndex::observed(&windows, config.min_observations, None);
     let motifs = discover_motifs_indexed(&index, &config, None);
     MotifSet {
         refs,
@@ -130,7 +130,7 @@ pub fn daily_motifs(fleet: &Fleet) -> MotifSet {
         }
     }
     let config = MotifConfig::default();
-    let index = MotifIndex::new(&windows, config.min_observations);
+    let index = MotifIndex::observed(&windows, config.min_observations, None);
     let motifs = discover_motifs_indexed(&index, &config, None);
     MotifSet {
         refs,

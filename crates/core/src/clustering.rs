@@ -128,8 +128,8 @@ pub fn average_linkage(dist: &[f64], n: usize) -> Dendrogram {
 /// similarity `0.6`).
 pub fn cluster_correlated(series: &[Vec<f64>], min_similarity: f64) -> Vec<Vec<usize>> {
     let n = series.len();
-    let profiles = profile_series(series);
-    let matrix = cor_matrix(&profiles, &CorMatrixConfig::default());
+    let profiles = profile_series(series, None);
+    let matrix = cor_matrix(&profiles, &CorMatrixConfig::default(), None);
     let mut dist = vec![0.0; n * n];
     for i in 0..n {
         for j in (i + 1)..n {
@@ -158,10 +158,10 @@ pub fn cluster_correlated(series: &[Vec<f64>], min_similarity: f64) -> Vec<Vec<u
 /// shape [`Dendrogram::cut`] returns).
 pub fn correlation_components(series: &[Vec<f64>], min_similarity: f64) -> Vec<Vec<usize>> {
     let n = series.len();
-    let profiles = profile_series(series);
+    let profiles = profile_series(series, None);
     let config = PruneConfig::at_threshold(min_similarity);
-    let sketches = sketch_series(&profiles, &config.sketch);
-    let (sparse, _) = cor_matrix_pruned(&profiles, &sketches, &config);
+    let sketches = sketch_series(&profiles, &config.sketch, None);
+    let (sparse, _) = cor_matrix_pruned(&profiles, &sketches, &config, None);
     let mut parent: Vec<usize> = (0..n).collect();
     fn find(parent: &mut [usize], mut x: usize) -> usize {
         while parent[x] != x {

@@ -9,8 +9,8 @@
 //! shows correlation dominance catches low-volume devices that *shape* the
 //! gateway's behavior.
 
-use crate::engine::correlation_similarity_profiled;
-use wtts_stats::{euclidean, CorProfile, CorScratch, ALPHA};
+use crate::engine::cor_profiled;
+use wtts_stats::{euclidean, CorProfile, CorScratch};
 use wtts_timeseries::TimeSeries;
 
 /// The paper's dominance threshold.
@@ -60,8 +60,8 @@ pub fn dominant_devices(
         .enumerate()
         .filter_map(|(i, dev)| {
             let device = CorProfile::new(dev.values());
-            let sim = correlation_similarity_profiled(&total, &device, &mut scratch, ALPHA);
-            (sim.value > phi).then_some((i, sim.value))
+            let sim = cor_profiled(&total, &device, &mut scratch);
+            (sim > phi).then_some((i, sim))
         })
         .collect();
     rank_dominants(hits)

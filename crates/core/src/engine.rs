@@ -7,13 +7,19 @@
 //! quadratic sweep from per-series [`CorProfile`]s, which hoist the
 //! per-series work (finite-mask compaction, moments, mid-ranks, sort
 //! permutations, tie statistics) out of the pair loop, and fills the upper
-//! triangle in parallel with work-stealing over rows.
+//! triangle in parallel, one `run_grid` task per row.
 //!
 //! Results are **bit-identical** to calling
 //! [`correlation_similarity`](crate::similarity::correlation_similarity)
 //! per pair: the profiled coefficient functions reproduce the from-scratch
 //! accumulation orders exactly, and pairs whose finite masks differ fall
 //! back to pairwise deletion internally (see `wtts_stats::corprofile`).
+//!
+//! Every entry point takes `obs: Option<&PipelineObs>` last; with `None` no
+//! atomic is touched and the output is unchanged. At threshold ≤ 0 the
+//! sketch-pruned [`cor_matrix_pruned`] prunes nothing and reproduces the
+//! dense [`cor_matrix`]: the same pairs, in the same order, with the same
+//! bits.
 
 use crate::obs::PipelineObs;
 use crate::similarity::CorSimilarity;
@@ -23,21 +29,10 @@ use wtts_stats::sketch::{prune_pair, CorSketch, PruneTier, SketchConfig};
 use wtts_stats::{cor_tests_profiled, CorProfile, CorScratch, ALPHA};
 
 /// Configuration for [`cor_matrix`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CorMatrixConfig {
-    /// Significance level of Definition 1 (the paper uses α = 0.05).
-    pub alpha: f64,
     /// Worker threads; `None` uses the machine's available parallelism.
     pub threads: Option<usize>,
-}
-
-impl Default for CorMatrixConfig {
-    fn default() -> CorMatrixConfig {
-        CorMatrixConfig {
-            alpha: ALPHA,
-            threads: None,
-        }
-    }
 }
 
 /// The upper triangle of a symmetric pairwise-similarity matrix, stored
@@ -93,142 +88,124 @@ impl CondensedMatrix {
     }
 }
 
-/// Definition 1 over two profiles: the maximum statistically significant
-/// coefficient at level `alpha`, `0` when none is significant.
+/// Definition 1 over two profiles at the paper's α = 0.05: the maximum
+/// statistically significant coefficient, `0` when none is significant.
 ///
 /// Bit-identical to
-/// [`correlation_similarity_at`](crate::similarity::correlation_similarity_at)
+/// [`correlation_similarity`](crate::similarity::correlation_similarity)
 /// on the profiles' source series. `scratch` carries the reusable
 /// per-pair buffers; keep one per thread.
 pub fn correlation_similarity_profiled(
     a: &CorProfile,
     b: &CorProfile,
     scratch: &mut CorScratch,
-    alpha: f64,
 ) -> CorSimilarity {
     let (p, s, k) = cor_tests_profiled(a, b, scratch);
-    CorSimilarity::from_tests(p, s, k, alpha)
+    CorSimilarity::from_tests(p, s, k, ALPHA)
 }
 
 /// `cor(X, Y)` of Definition 1 over two profiles at the paper's α = 0.05.
 pub fn cor_profiled(a: &CorProfile, b: &CorProfile, scratch: &mut CorScratch) -> f64 {
-    correlation_similarity_profiled(a, b, scratch, ALPHA).value
+    correlation_similarity_profiled(a, b, scratch).value
 }
 
-/// Computes the full pairwise similarity matrix of `profiles`.
+/// Runs `compute` over every `(row, col)` cell of a grid, fanning the flat
+/// task list across work-stealing workers — the one parallel loop behind
+/// every analysis grid: matrix rows here, the granularity sweep
+/// ([`crate::sweep`]) and the lag search ([`crate::lagsearch`]).
 ///
-/// Rows of the condensed upper triangle are handed out to worker threads
-/// through a work-stealing counter (early rows are the longest, so
-/// stealing balances the triangle's skew). Each worker owns one
-/// [`CorScratch`], amortizing the Kendall buffers across its rows. The
-/// per-pair fill bottoms out in the stats crate's kernel layer
-/// (`wtts_stats::kernels`): fused Pearson+Spearman cross-moment folds,
-/// branch-light rank gathers and the merge-based Kendall inversion count —
-/// all bit-identical to the from-scratch coefficients, benchmarked
-/// per-kernel in `BENCH_kernels.json`.
-pub fn cor_matrix(profiles: &[CorProfile], config: &CorMatrixConfig) -> CondensedMatrix {
-    cor_matrix_observed(profiles, config, None)
-}
-
-/// [`cor_matrix`] with optional observability: when `obs` is `Some`, every
-/// row fill opens a span on [`PipelineObs::row_fill`] (one per row, across
-/// all worker threads). With `None` this is exactly `cor_matrix` — no
-/// atomics touched, no clocks read, bit-identical output.
-pub fn cor_matrix_observed(
-    profiles: &[CorProfile],
-    config: &CorMatrixConfig,
-    obs: Option<&PipelineObs>,
-) -> CondensedMatrix {
-    let n = profiles.len();
-    let total = n * n.saturating_sub(1) / 2;
-    let mut data = vec![0.0f32; total];
-    let threads = config
-        .threads
+/// `threads: None` uses the machine's available parallelism. The calling
+/// thread is one of the workers, so `threads = 1` spawns nothing. Each
+/// worker owns one [`CorScratch`]; each cell writes its own slot, so
+/// results are deterministic in the thread count.
+pub(crate) fn run_grid<C, F>(
+    n_rows: usize,
+    n_cols: usize,
+    threads: Option<usize>,
+    compute: F,
+) -> Vec<Vec<C>>
+where
+    C: Send,
+    F: Fn(usize, usize, &mut CorScratch) -> C + Sync,
+{
+    let threads = threads
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(1)
         })
         .max(1);
-
-    if n < 2 {
-        return CondensedMatrix { n, data };
-    }
-
-    if threads == 1 {
-        let mut scratch = CorScratch::new();
-        let mut rest = data.as_mut_slice();
-        for i in 0..n - 1 {
-            let (row, tail) = rest.split_at_mut(n - 1 - i);
-            let _span = obs.map(|o| o.row_fill.enter());
-            fill_row(profiles, i, row, &mut scratch, config.alpha);
-            rest = tail;
-        }
-        return CondensedMatrix { n, data };
-    }
-
-    // Carve the condensed storage into per-row slices so workers write
-    // without aliasing; a shared counter hands rows out (the same pattern
-    // the bench fleet generator uses for gateways).
-    let mut rows: Vec<Option<&mut [f32]>> = Vec::with_capacity(n - 1);
-    let mut rest = data.as_mut_slice();
-    for i in 0..n - 1 {
-        let (row, tail) = rest.split_at_mut(n - 1 - i);
-        rows.push(Some(row));
-        rest = tail;
-    }
+    let total = n_rows * n_cols;
+    let slots: Vec<Mutex<Option<C>>> = (0..total).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let rows = Mutex::new(rows);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n - 1) {
-            scope.spawn(|| {
-                let mut scratch = CorScratch::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n - 1 {
-                        break;
-                    }
-                    let row = {
-                        let mut guard = rows.lock().expect("no poisoned row lock");
-                        guard[i].take().expect("each row is taken once")
-                    };
-                    let _span = obs.map(|o| o.row_fill.enter());
-                    fill_row(profiles, i, row, &mut scratch, config.alpha);
-                }
-            });
+    let work = || {
+        let mut scratch = CorScratch::new();
+        loop {
+            let t = next.fetch_add(1, Ordering::Relaxed);
+            if t >= total {
+                break;
+            }
+            let cell = compute(t / n_cols, t % n_cols, &mut scratch);
+            *slots[t].lock().expect("no poisoned slot") = Some(cell);
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(total) {
+            scope.spawn(work);
+        }
+        work();
     });
+    let mut slots = slots.into_iter();
+    (0..n_rows)
+        .map(|_| {
+            (0..n_cols)
+                .map(|_| {
+                    slots
+                        .next()
+                        .expect("one slot per cell")
+                        .into_inner()
+                        .expect("no poisoned slot")
+                        .expect("every task index was claimed")
+                })
+                .collect()
+        })
+        .collect()
+}
 
+/// Computes the full pairwise similarity matrix of `profiles`.
+///
+/// Each row of the condensed upper triangle is one `run_grid` task
+/// (early rows are the longest, so work-stealing balances the triangle's
+/// skew), filled under a [`PipelineObs::row_fill`] span when `obs` is
+/// `Some`. The per-pair fill bottoms out in the stats crate's kernel layer
+/// (`wtts_stats::kernels`): fused Pearson+Spearman cross-moment folds,
+/// branch-light rank gathers and the merge-based Kendall inversion count —
+/// all bit-identical to the from-scratch coefficients, benchmarked
+/// per-kernel in `BENCH_kernels.json`.
+pub fn cor_matrix(
+    profiles: &[CorProfile],
+    config: &CorMatrixConfig,
+    obs: Option<&PipelineObs>,
+) -> CondensedMatrix {
+    let n = profiles.len();
+    let rows = run_grid(n.saturating_sub(1), 1, config.threads, |i, _, scratch| {
+        let _span = obs.map(|o| o.row_fill.enter());
+        (i + 1..n)
+            .map(|j| {
+                correlation_similarity_profiled(&profiles[i], &profiles[j], scratch).value as f32
+            })
+            .collect::<Vec<f32>>()
+    });
+    let mut data = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+    for row in rows.into_iter().flatten() {
+        data.extend(row);
+    }
     CondensedMatrix { n, data }
 }
 
-/// Fills row `i` of the condensed triangle: similarities of `(i, j)` for
-/// `j = i+1 .. n-1`.
-fn fill_row(
-    profiles: &[CorProfile],
-    i: usize,
-    row: &mut [f32],
-    scratch: &mut CorScratch,
-    alpha: f64,
-) {
-    for (offset, slot) in row.iter_mut().enumerate() {
-        let j = i + 1 + offset;
-        *slot = correlation_similarity_profiled(&profiles[i], &profiles[j], scratch, alpha).value
-            as f32;
-    }
-}
-
-/// Profiles a collection of series (a convenience for `cor_matrix` callers).
-pub fn profile_series<S: AsRef<[f64]>>(series: &[S]) -> Vec<CorProfile> {
-    profile_series_observed(series, None)
-}
-
-/// [`profile_series`] with optional observability: when `obs` is `Some`,
-/// each profile construction opens a span on [`PipelineObs::profile_build`].
-pub fn profile_series_observed<S: AsRef<[f64]>>(
-    series: &[S],
-    obs: Option<&PipelineObs>,
-) -> Vec<CorProfile> {
+/// Profiles a collection of series (a convenience for `cor_matrix` callers);
+/// each construction opens a span on [`PipelineObs::profile_build`].
+pub fn profile_series<S: AsRef<[f64]>>(series: &[S], obs: Option<&PipelineObs>) -> Vec<CorProfile> {
     series
         .iter()
         .map(|s| profile_one(s.as_ref(), obs))
@@ -236,8 +213,9 @@ pub fn profile_series_observed<S: AsRef<[f64]>>(
 }
 
 /// Profiles a single series under a [`PipelineObs::profile_build`] span —
-/// the per-item building block of [`profile_series_observed`], shared with
-/// the lag-search preparation phase ([`crate::lagsearch`]).
+/// the per-item building block of [`profile_series`], shared with motif
+/// indexing ([`crate::motif`]) and lag-search preparation
+/// ([`crate::lagsearch`]).
 pub(crate) fn profile_one(series: &[f64], obs: Option<&PipelineObs>) -> CorProfile {
     let _span = obs.map(|o| o.profile_build.enter());
     CorProfile::new(series)
@@ -255,7 +233,7 @@ pub struct PruneConfig {
     pub threshold: f64,
     /// Sketch resolution (segments and SAX alphabet).
     pub sketch: SketchConfig,
-    /// Exact-path settings (significance level, worker threads).
+    /// Exact-path settings (worker threads).
     pub matrix: CorMatrixConfig,
 }
 
@@ -384,14 +362,9 @@ impl SparseCorMatrix {
 }
 
 /// Builds the pruning sketch of every profile (a convenience for
-/// [`cor_matrix_pruned`] callers).
-pub fn sketch_series(profiles: &[CorProfile], config: &SketchConfig) -> Vec<CorSketch> {
-    sketch_series_observed(profiles, config, None)
-}
-
-/// [`sketch_series`] with optional observability: when `obs` is `Some`,
-/// each sketch construction opens a span on [`PipelineObs::sketch_build`].
-pub fn sketch_series_observed(
+/// [`cor_matrix_pruned`] callers); each construction opens a span on
+/// [`PipelineObs::sketch_build`].
+pub fn sketch_series(
     profiles: &[CorProfile],
     config: &SketchConfig,
     obs: Option<&PipelineObs>,
@@ -403,8 +376,8 @@ pub fn sketch_series_observed(
 }
 
 /// Sketches a single profile under a [`PipelineObs::sketch_build`] span —
-/// the per-item building block of [`sketch_series_observed`], shared with
-/// the lag-search preparation phase ([`crate::lagsearch`]).
+/// the per-item building block of [`sketch_series`], shared with the
+/// lag-search preparation phase ([`crate::lagsearch`]).
 pub(crate) fn sketch_one(
     profile: &CorProfile,
     config: &SketchConfig,
@@ -423,19 +396,14 @@ pub(crate) fn sketch_one(
 /// the identical exact path). Pairs whose finite masks differ are never
 /// pruned — the sketch bounds assume a shared mask — and fall through to
 /// exact evaluation, counted in [`PruneStats::mask_fallthrough`].
+///
+/// At `config.threshold ≤ 0` nothing is pruned and every pair is stored
+/// with its [`cor_matrix`] value, in the same row-major order — the dense
+/// build as a special case. Rows fan out over `run_grid`; with `obs`,
+/// row fills open spans on [`PipelineObs::row_fill`] and the per-tier
+/// prune counters ([`PipelineObs::prune_pairs_total`] and friends)
+/// accumulate the returned [`PruneStats`].
 pub fn cor_matrix_pruned(
-    profiles: &[CorProfile],
-    sketches: &[CorSketch],
-    config: &PruneConfig,
-) -> (SparseCorMatrix, PruneStats) {
-    cor_matrix_pruned_observed(profiles, sketches, config, None)
-}
-
-/// [`cor_matrix_pruned`] with optional observability: row fills open
-/// spans on [`PipelineObs::row_fill`], and the per-tier prune counters
-/// ([`PipelineObs::prune_pairs_total`] and friends) accumulate the
-/// returned [`PruneStats`].
-pub fn cor_matrix_pruned_observed(
     profiles: &[CorProfile],
     sketches: &[CorSketch],
     config: &PruneConfig,
@@ -447,80 +415,30 @@ pub fn cor_matrix_pruned_observed(
         "one sketch per profile required"
     );
     let n = profiles.len();
-    let threads = config
-        .matrix
-        .threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .max(1);
+    let rows = run_grid(
+        n.saturating_sub(1),
+        1,
+        config.matrix.threads,
+        |i, _, scratch| {
+            let _span = obs.map(|o| o.row_fill.enter());
+            fill_row_pruned(profiles, sketches, i, config, scratch)
+        },
+    );
 
     let mut stats = PruneStats::default();
-    let mut row_cols: Vec<Vec<u32>> = Vec::with_capacity(n);
-    let mut row_vals: Vec<Vec<f32>> = Vec::with_capacity(n);
-
-    if n < 2 {
-        row_cols.resize_with(n, Vec::new);
-        row_vals.resize_with(n, Vec::new);
-    } else if threads == 1 {
-        let mut scratch = CorScratch::new();
-        for i in 0..n {
-            let _span = (i + 1 < n).then(|| obs.map(|o| o.row_fill.enter()));
-            let (cols, vals) =
-                fill_row_pruned(profiles, sketches, i, config, &mut scratch, &mut stats);
-            row_cols.push(cols);
-            row_vals.push(vals);
-        }
-    } else {
-        let mut slots: Vec<Option<(Vec<u32>, Vec<f32>)>> = Vec::new();
-        slots.resize_with(n, || None);
-        let slots = Mutex::new(slots);
-        let total = Mutex::new(PruneStats::default());
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(n - 1) {
-                scope.spawn(|| {
-                    let mut scratch = CorScratch::new();
-                    let mut local = PruneStats::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n - 1 {
-                            break;
-                        }
-                        let _span = obs.map(|o| o.row_fill.enter());
-                        let row = fill_row_pruned(
-                            profiles,
-                            sketches,
-                            i,
-                            config,
-                            &mut scratch,
-                            &mut local,
-                        );
-                        slots.lock().expect("no poisoned slot lock")[i] = Some(row);
-                    }
-                    total.lock().expect("no poisoned stats lock").absorb(&local);
-                });
-            }
-        });
-        stats = total.into_inner().expect("no poisoned stats lock");
-        for slot in slots.into_inner().expect("no poisoned slot lock") {
-            let (cols, vals) = slot.unwrap_or_default();
-            row_cols.push(cols);
-            row_vals.push(vals);
-        }
-    }
-
     let mut row_start = Vec::with_capacity(n + 1);
     row_start.push(0usize);
     let mut cols = Vec::new();
     let mut vals = Vec::new();
-    for (rc, rv) in row_cols.iter().zip(&row_vals) {
-        cols.extend_from_slice(rc);
-        vals.extend_from_slice(rv);
+    for (rc, rv, row_stats) in rows.into_iter().flatten() {
+        cols.extend(rc);
+        vals.extend(rv);
         row_start.push(cols.len());
+        stats.absorb(&row_stats);
     }
+    // The last row (and every row of a collection smaller than two) is
+    // empty.
+    row_start.resize(n + 1, cols.len());
 
     if let Some(o) = obs {
         o.prune_pairs_total.add(stats.pairs_total);
@@ -544,15 +462,16 @@ pub fn cor_matrix_pruned_observed(
 }
 
 /// Fills one pruned row: prune-or-evaluate every pair `(i, j)`, `j > i`.
+/// Returns the surviving columns, their values and the row's tier counts.
 fn fill_row_pruned(
     profiles: &[CorProfile],
     sketches: &[CorSketch],
     i: usize,
     config: &PruneConfig,
     scratch: &mut CorScratch,
-    stats: &mut PruneStats,
-) -> (Vec<u32>, Vec<f32>) {
+) -> (Vec<u32>, Vec<f32>, PruneStats) {
     let n = profiles.len();
+    let mut stats = PruneStats::default();
     let mut cols = Vec::new();
     let mut vals = Vec::new();
     for j in i + 1..n {
@@ -572,19 +491,14 @@ fn fill_row_pruned(
                 if !same_mask {
                     stats.mask_fallthrough += 1;
                 }
-                let v = correlation_similarity_profiled(
-                    &profiles[i],
-                    &profiles[j],
-                    scratch,
-                    config.matrix.alpha,
-                )
-                .value as f32;
+                let v = correlation_similarity_profiled(&profiles[i], &profiles[j], scratch).value
+                    as f32;
                 cols.push(j as u32);
                 vals.push(v);
             }
         }
     }
-    (cols, vals)
+    (cols, vals, stats)
 }
 
 #[cfg(test)]
@@ -634,8 +548,8 @@ mod tests {
     #[test]
     fn matrix_matches_per_pair_cor() {
         let series = series_fixture(9, 40);
-        let profiles = profile_series(&series);
-        let m = cor_matrix(&profiles, &CorMatrixConfig::default());
+        let profiles = profile_series(&series, None);
+        let m = cor_matrix(&profiles, &CorMatrixConfig::default(), None);
         for i in 0..series.len() {
             for j in i + 1..series.len() {
                 let reference = cor(&series[i], &series[j]) as f32;
@@ -653,21 +567,15 @@ mod tests {
     #[test]
     fn thread_counts_agree() {
         let series = series_fixture(8, 30);
-        let profiles = profile_series(&series);
-        let single = cor_matrix(
-            &profiles,
-            &CorMatrixConfig {
-                threads: Some(1),
-                ..CorMatrixConfig::default()
-            },
-        );
+        let profiles = profile_series(&series, None);
+        let single = cor_matrix(&profiles, &CorMatrixConfig { threads: Some(1) }, None);
         for threads in [2, 4, 16] {
             let multi = cor_matrix(
                 &profiles,
                 &CorMatrixConfig {
                     threads: Some(threads),
-                    ..CorMatrixConfig::default()
                 },
+                None,
             );
             assert_eq!(single, multi, "threads = {threads}");
         }
@@ -675,22 +583,29 @@ mod tests {
 
     #[test]
     fn tiny_collections() {
-        assert_eq!(cor_matrix(&[], &CorMatrixConfig::default()).n(), 0);
-        let one = profile_series(&[vec![1.0, 2.0, 3.0]]);
-        let m = cor_matrix(&one, &CorMatrixConfig::default());
+        assert_eq!(cor_matrix(&[], &CorMatrixConfig::default(), None).n(), 0);
+        let one = profile_series(&[vec![1.0, 2.0, 3.0]], None);
+        let m = cor_matrix(&one, &CorMatrixConfig::default(), None);
         assert_eq!(m.n(), 1);
         assert_eq!(m.get(0, 0), 1.0);
+        let config = PruneConfig::at_threshold(0.6);
+        let sketches = sketch_series(&one, &config.sketch, None);
+        let (sparse, stats) = cor_matrix_pruned(&one, &sketches, &config, None);
+        assert_eq!((sparse.n(), sparse.get(0, 0)), (1, Some(1.0)));
+        assert_eq!(stats, PruneStats::default());
+        let (empty, _) = cor_matrix_pruned(&[], &[], &config, None);
+        assert_eq!((empty.n(), empty.evaluated_pairs()), (0, 0));
     }
 
     /// Pruned-vs-dense agreement on a fixture: survivors bit-identical,
     /// pruned pairs truly below threshold, books conserved.
     fn assert_pruned_matches_dense(series: &[Vec<f64>], phi: f64, threads: Option<usize>) {
-        let profiles = profile_series(series);
+        let profiles = profile_series(series, None);
         let mut config = PruneConfig::at_threshold(phi);
         config.matrix.threads = threads;
-        let sketches = sketch_series(&profiles, &config.sketch);
-        let (sparse, stats) = cor_matrix_pruned(&profiles, &sketches, &config);
-        let dense = cor_matrix(&profiles, &config.matrix);
+        let sketches = sketch_series(&profiles, &config.sketch, None);
+        let (sparse, stats) = cor_matrix_pruned(&profiles, &sketches, &config, None);
+        let dense = cor_matrix(&profiles, &config.matrix, None);
         assert!(stats.conserved(), "{stats:?}");
         assert_eq!(stats.pairs_evaluated as usize, sparse.evaluated_pairs());
         for i in 0..series.len() {
@@ -718,14 +633,22 @@ mod tests {
 
     #[test]
     fn non_positive_threshold_evaluates_everything() {
+        // The dense build as a special case of the pruned one: every pair
+        // stored, in row-major order, bit-identical to `cor_matrix`.
         let series = series_fixture(6, 30);
-        let profiles = profile_series(&series);
-        let config = PruneConfig::at_threshold(0.0);
-        let sketches = sketch_series(&profiles, &config.sketch);
-        let (sparse, stats) = cor_matrix_pruned(&profiles, &sketches, &config);
-        assert_eq!(stats.pairs_pruned(), 0);
-        assert_eq!(stats.pairs_evaluated, stats.pairs_total);
-        assert_eq!(sparse.evaluated_pairs() as u64, stats.pairs_total);
+        let profiles = profile_series(&series, None);
+        let dense = cor_matrix(&profiles, &CorMatrixConfig::default(), None);
+        for phi in [0.0, -0.5] {
+            let config = PruneConfig::at_threshold(phi);
+            let sketches = sketch_series(&profiles, &config.sketch, None);
+            let (sparse, stats) = cor_matrix_pruned(&profiles, &sketches, &config, None);
+            assert_eq!(stats.pairs_pruned(), 0);
+            assert_eq!(stats.pairs_evaluated, stats.pairs_total);
+            assert_eq!(sparse.evaluated_pairs() as u64, stats.pairs_total);
+            let stored: Vec<u32> = sparse.entries().map(|(_, _, v)| v.to_bits()).collect();
+            let expected: Vec<u32> = dense.values().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(stored, expected, "phi {phi}");
+        }
     }
 
     #[test]
@@ -745,10 +668,10 @@ mod tests {
                     .collect()
             })
             .collect();
-        let profiles = profile_series(&series);
+        let profiles = profile_series(&series, None);
         let config = PruneConfig::at_threshold(0.6);
-        let sketches = sketch_series(&profiles, &config.sketch);
-        let (_, stats) = cor_matrix_pruned(&profiles, &sketches, &config);
+        let sketches = sketch_series(&profiles, &config.sketch, None);
+        let (_, stats) = cor_matrix_pruned(&profiles, &sketches, &config, None);
         assert!(
             stats.pairs_pruned() >= 25,
             "expected cross-family prunes, got {stats:?}"
@@ -759,11 +682,11 @@ mod tests {
     #[test]
     fn pruned_matrix_obs_counters_conserve() {
         let series = series_fixture(10, 40);
-        let profiles = profile_series(&series);
+        let profiles = profile_series(&series, None);
         let config = PruneConfig::at_threshold(0.6);
         let obs = PipelineObs::new();
-        let sketches = sketch_series_observed(&profiles, &config.sketch, Some(&obs));
-        let (_, stats) = cor_matrix_pruned_observed(&profiles, &sketches, &config, Some(&obs));
+        let sketches = sketch_series(&profiles, &config.sketch, Some(&obs));
+        let (_, stats) = cor_matrix_pruned(&profiles, &sketches, &config, Some(&obs));
         let snap = obs.snapshot();
         assert!(snap.quiescent());
         assert_eq!(snap.counter("prune_pairs_total"), stats.pairs_total);
@@ -786,10 +709,10 @@ mod tests {
     #[test]
     fn sparse_get_handles_diagonal_and_orientation() {
         let series = series_fixture(5, 30);
-        let profiles = profile_series(&series);
+        let profiles = profile_series(&series, None);
         let config = PruneConfig::at_threshold(0.5);
-        let sketches = sketch_series(&profiles, &config.sketch);
-        let (sparse, _) = cor_matrix_pruned(&profiles, &sketches, &config);
+        let sketches = sketch_series(&profiles, &config.sketch, None);
+        let (sparse, _) = cor_matrix_pruned(&profiles, &sketches, &config, None);
         assert_eq!(sparse.get(2, 2), Some(1.0));
         for i in 0..5 {
             for j in 0..5 {
@@ -806,7 +729,7 @@ mod tests {
     #[test]
     fn profiled_similarity_matches_plain() {
         let series = series_fixture(4, 50);
-        let profiles = profile_series(&series);
+        let profiles = profile_series(&series, None);
         let mut scratch = CorScratch::new();
         for i in 0..series.len() {
             for j in 0..series.len() {
@@ -814,12 +737,8 @@ mod tests {
                     continue;
                 }
                 let plain = crate::similarity::correlation_similarity(&series[i], &series[j]);
-                let fast = correlation_similarity_profiled(
-                    &profiles[i],
-                    &profiles[j],
-                    &mut scratch,
-                    ALPHA,
-                );
+                let fast =
+                    correlation_similarity_profiled(&profiles[i], &profiles[j], &mut scratch);
                 assert_eq!(plain.value.to_bits(), fast.value.to_bits());
                 assert_eq!(plain.best, fast.best);
                 assert_eq!(plain.pearson, fast.pearson);

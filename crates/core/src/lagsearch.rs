@@ -30,7 +30,7 @@
 //!   work by a three-tier cascade (see below); at `phi = 0` the grid is
 //!   dense and exactly equal to the naive reference.
 //! * The `pair × scale` task grid fans out over the work-stealing workers
-//!   of [`crate::sweep`]'s `run_grid`; every cell writes its own slot and
+//!   of [`crate::engine`]'s `run_grid`; every cell writes its own slot and
 //!   per-run statistics are summed in row-major order, so results are
 //!   **deterministic in the thread count**.
 //!
@@ -73,9 +73,9 @@
 //! at `lag = −d`; [`LagSearchResult::top_leads`] folds that convention into
 //! explicit leader/follower roles so callers never re-derive the sign.
 
-use crate::engine::{profile_one, sketch_one};
+use crate::engine::{profile_one, run_grid, sketch_one};
 use crate::obs::PipelineObs;
-use crate::sweep::{run_grid, SweepSource};
+use crate::sweep::SweepSource;
 use wtts_stats::{
     ccf_cell_counted, ccf_cells_batch, prune_pair, significance_bound, CcfSide, CorProfile,
     CorSketch, CorrelogramError, PruneTier, SketchConfig, PRUNE_MARGIN,
@@ -580,16 +580,6 @@ fn pair_scale_row(
     Ok(cells)
 }
 
-fn resolved_threads(threads: Option<usize>) -> usize {
-    threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .max(1)
-}
-
 /// Runs the multi-scale lagged correlation search over a fleet of
 /// equally-sampled series (see the module docs for the architecture and
 /// guarantees).
@@ -614,7 +604,6 @@ pub fn lag_search(
             assert_eq!(s.len(), first.len(), "series must share a length");
         }
     }
-    let threads = resolved_threads(config.threads);
     let n_scales = config.scales.len();
     let candidates: Vec<(Granularity, u32)> = config
         .scales
@@ -625,7 +614,7 @@ pub fn lag_search(
         .iter()
         .map(|s| SweepSource::build(s, &candidates, obs))
         .collect();
-    let prepared = run_grid(series.len(), n_scales, threads, |r, c, _scratch| {
+    let prepared = run_grid(series.len(), n_scales, config.threads, |r, c, _scratch| {
         prepare(&sources[r], config.scales[c], config, obs)
     });
     // All series share one geometry, so the effective lag bound per scale
@@ -639,7 +628,7 @@ pub fn lag_search(
     let pairs: Vec<(usize, usize)> = (0..series.len())
         .flat_map(|i| ((i + 1)..series.len()).map(move |j| (i, j)))
         .collect();
-    let raw = run_grid(pairs.len(), n_scales, threads, |p, c, _scratch| {
+    let raw = run_grid(pairs.len(), n_scales, config.threads, |p, c, _scratch| {
         let _span = obs.map(|o| o.lag_pair_scan.enter());
         let (i, j) = pairs[p];
         pair_scale_cells(

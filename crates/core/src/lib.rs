@@ -26,7 +26,8 @@
 //! pairwise-correlation engine: per-series profiles plus a parallel
 //! upper-triangle kernel, bit-identical to per-pair [`similarity`] calls,
 //! with a sketch-pruned sparse variant that discards provably
-//! below-threshold pairs without exact work),
+//! below-threshold pairs without exact work — at threshold ≤ 0 it prunes
+//! nothing and *is* the dense build),
 //! [`sweep`] (the granularity-pyramid sweep engine that evaluates
 //! Definition 3's whole candidate grid from exact prefix sums, bit-identical
 //! to the per-call path), [`lagsearch`] (the multi-scale lead/lag discovery
@@ -49,6 +50,18 @@
 //! panics — plus [`ingest::durable`], its write-ahead log / snapshot /
 //! deterministic-recovery layer for surviving process crashes with
 //! bit-identical results).
+//!
+//! Each question has one entry point, taking
+//! `obs: Option<&PipelineObs>` where the run can be observed:
+//! [`cor_matrix`] / [`cor_matrix_pruned`] for a pair set (Definition 1),
+//! [`strong_stationarity`] for a window set (Definition 2),
+//! [`weekly_sweep`] / [`daily_sweep`] for a granularity grid
+//! (Definition 3), [`dominant_devices`] (Definition 4),
+//! [`discover_motifs_indexed`] for a window family (Definition 5;
+//! [`discover_motifs`] is the one-shot form) and [`lag_search`]. Dense
+//! search is never a separate path: it is the pruned path at a threshold
+//! ≤ 0, where nothing is pruned and the output is bit-identical. Every
+//! parallel grid runs on one work-stealing helper in [`engine`].
 
 pub mod aggregation;
 pub mod anomaly;
@@ -79,10 +92,8 @@ pub use dominance::{
     DominantDevice, DOMINANCE_PHI,
 };
 pub use engine::{
-    cor_matrix, cor_matrix_observed, cor_matrix_pruned, cor_matrix_pruned_observed, cor_profiled,
-    correlation_similarity_profiled, profile_series, profile_series_observed, sketch_series,
-    sketch_series_observed, CondensedMatrix, CorMatrixConfig, PruneConfig, PruneStats,
-    SparseCorMatrix,
+    cor_matrix, cor_matrix_pruned, cor_profiled, correlation_similarity_profiled, profile_series,
+    sketch_series, CondensedMatrix, CorMatrixConfig, PruneConfig, PruneStats, SparseCorMatrix,
 };
 pub use ingest::durable::{
     segment_files, snapshot_coverage, wal_disk_usage, Durability, DurableConfig, DurableError,
@@ -98,8 +109,8 @@ pub use lagsearch::{
 };
 pub use maintenance::{MaintenanceWindow, WeeklyProfile};
 pub use motif::{
-    discover_motifs, discover_motifs_indexed, discover_motifs_observed, discover_motifs_pruned,
-    Motif, MotifConfig, MotifIndex, WindowRef, F32_REVERIFY_BAND,
+    discover_motifs, discover_motifs_indexed, Motif, MotifConfig, MotifIndex, WindowRef,
+    F32_REVERIFY_BAND,
 };
 pub use obs::{
     HistogramSnapshot, LogHistogram, ObsSnapshot, PipelineObs, Stage, StageSnapshot,
@@ -107,9 +118,7 @@ pub use obs::{
 };
 pub use profile::GatewayProfile;
 pub use similarity::{cor, cor_at_least, cor_distance, correlation_similarity, CorSimilarity};
-pub use stationarity::{
-    strong_stationarity, strong_stationarity_observed, StationarityCheck, STATIONARITY_COR,
-};
+pub use stationarity::{strong_stationarity, StationarityCheck, STATIONARITY_COR};
 pub use streaming::{
     best_match, CompletedWindow, LateSample, MatchOutcome, MotifMatcher, MotifTemplate,
     OnlinePearson, WindowAccumulator,

@@ -13,10 +13,7 @@
 //! ¾φ-similar to all of them, which maintains both invariants by
 //! construction.
 
-use crate::engine::{
-    cor_matrix_observed, cor_matrix_pruned_observed, cor_profiled, sketch_series_observed,
-    CorMatrixConfig, PruneConfig,
-};
+use crate::engine::{cor_matrix_pruned, cor_profiled, profile_one, sketch_series, PruneConfig};
 use crate::obs::{PipelineObs, NEAR_THRESHOLD_BAND};
 use std::collections::HashMap;
 use wtts_stats::kernels::{fast_lane_decision, FastDecision};
@@ -244,7 +241,10 @@ impl Motif {
 ///
 /// `windows[i]` is the sample vector of window `i`; windows with fewer than
 /// `config.min_observations` finite samples are ignored. Returns motifs
-/// sorted by descending support.
+/// sorted by descending support. Builds a throwaway [`MotifIndex`]; to
+/// amortize the index across several runs (daily *and* weekly families,
+/// ablation sweeps) or to observe the run, build it once and call
+/// [`discover_motifs_indexed`].
 ///
 /// ```
 /// use wtts_core::motif::{discover_motifs, MotifConfig};
@@ -261,82 +261,14 @@ impl Motif {
 /// assert!(!motifs[0].members.contains(&4)); // the noise day stays out
 /// ```
 pub fn discover_motifs(windows: &[Vec<f64>], config: &MotifConfig) -> Vec<Motif> {
-    discover_motifs_observed(windows, config, None)
+    let index = MotifIndex::observed(windows, config.min_observations, None);
+    discover_motifs_indexed(&index, config, None)
 }
 
-/// [`discover_motifs`] with optional observability: when `obs` is `Some`,
-/// the run opens a span on [`PipelineObs::motif_discovery`] and feeds the
-/// pair counters (`pairs_evaluated` / `candidate_pairs` / `pairs_pruned` /
-/// `members_grown` / `motifs_merged`), the near-threshold instrument
-/// (`near_phi` / `near_group`, within
-/// [`NEAR_THRESHOLD_BAND`](crate::obs::NEAR_THRESHOLD_BAND) of φ and ¾φ)
-/// and `f64_reverified`. With `None` the run is exactly `discover_motifs`.
-pub fn discover_motifs_observed(
-    windows: &[Vec<f64>],
-    config: &MotifConfig,
-    obs: Option<&PipelineObs>,
-) -> Vec<Motif> {
-    let _span = obs.map(|o| o.motif_discovery.enter());
-    let n = windows.len();
-    // Eligible windows get a slot in the condensed similarity matrix;
-    // ineligible ones never pair with anything.
-    let mut slot: Vec<Option<usize>> = vec![None; n];
-    let mut eligible: Vec<usize> = Vec::new();
-    let mut profiles: Vec<CorProfile> = Vec::new();
-    for (i, w) in windows.iter().enumerate() {
-        if w.iter().filter(|v| v.is_finite()).count() >= config.min_observations {
-            slot[i] = Some(profiles.len());
-            eligible.push(i);
-            let _p = obs.map(|o| o.profile_build.enter());
-            profiles.push(CorProfile::new(w));
-        }
-    }
-
-    // One batch upper-triangle sweep replaces the per-pair cor() calls and
-    // the old duplicated n × n storage.
-    let matrix = cor_matrix_observed(&profiles, &CorMatrixConfig::default(), obs);
-    let sim = |i: usize, j: usize| -> f32 {
-        match (slot[i], slot[j]) {
-            (Some(a), Some(b)) => matrix.get(a, b),
-            _ => 0.0,
-        }
-    };
-    // Membership verdicts near a threshold are decided in f64, never off
-    // the rounded f32 (the CondensedMatrix quantization guard).
-    let mut exact = ExactChecker::new(&profiles, &slot);
-
-    let mut candidate_pairs: Vec<(usize, usize)> = Vec::new();
-    let group_threshold = config.group_threshold();
-    for (a, &i) in eligible.iter().enumerate() {
-        for (offset, &j) in eligible[a + 1..].iter().enumerate() {
-            let s = matrix.get(a, a + 1 + offset);
-            if let Some(o) = obs {
-                o.pairs_evaluated.incr();
-                if (s as f64 - config.phi).abs() <= NEAR_THRESHOLD_BAND {
-                    o.near_phi.incr();
-                }
-                if (s as f64 - group_threshold).abs() <= NEAR_THRESHOLD_BAND {
-                    o.near_group.incr();
-                }
-            }
-            if exact.meets(s, i, j, config.phi, obs) {
-                candidate_pairs.push((i, j));
-                if let Some(o) = obs {
-                    o.candidate_pairs.incr();
-                }
-            } else if let Some(o) = obs {
-                o.pairs_pruned.incr();
-            }
-        }
-    }
-    assemble_motifs(n, candidate_pairs, &sim, &mut exact, config, obs)
-}
-
-/// The shared back half of motif discovery: sorts the φ-candidate pairs by
-/// descending similarity, grows motifs greedily and merges them. Both the
-/// dense and the sketch-pruned front ends feed this with the same candidate
-/// list and bit-identical `sim` values for every pair that can influence a
-/// verdict, which is what makes their outputs identical.
+/// The back half of motif discovery: sorts the φ-candidate pairs by
+/// descending similarity, grows motifs greedily and merges them. `sim`
+/// must be bit-identical to the dense matrix for every pair that can
+/// influence a verdict (see [`discover_motifs_indexed`]).
 fn assemble_motifs(
     n: usize,
     mut candidate_pairs: Vec<(usize, usize)>,
@@ -424,10 +356,10 @@ fn assemble_motifs(
     out
 }
 
-/// The reusable front half of sketch-pruned motif discovery: eligibility,
-/// per-window [`CorProfile`]s and pruning sketches, built **once** and
-/// shared across every discovery run over the same window family — the
-/// daily and weekly sweeps, threshold ablations, repeated configs.
+/// The reusable front half of motif discovery: eligibility, per-window
+/// [`CorProfile`]s and pruning sketches, built **once** and shared across
+/// every discovery run over the same window family — the daily and weekly
+/// sweeps, threshold ablations, repeated configs.
 ///
 /// Profiles and sketches depend only on the windows and the eligibility
 /// cutoff, not on the thresholds, so one index serves any number of
@@ -444,14 +376,9 @@ pub struct MotifIndex {
 
 impl MotifIndex {
     /// Builds the index: one profile and one pruning sketch per window with
-    /// at least `min_observations` finite samples.
-    pub fn new(windows: &[Vec<f64>], min_observations: usize) -> MotifIndex {
-        MotifIndex::observed(windows, min_observations, None)
-    }
-
-    /// [`MotifIndex::new`] with optional observability: profile and sketch
-    /// constructions open spans on [`PipelineObs::profile_build`] and
-    /// [`PipelineObs::sketch_build`].
+    /// at least `min_observations` finite samples. With `obs`, profile and
+    /// sketch constructions open spans on [`PipelineObs::profile_build`]
+    /// and [`PipelineObs::sketch_build`].
     pub fn observed(
         windows: &[Vec<f64>],
         min_observations: usize,
@@ -465,11 +392,10 @@ impl MotifIndex {
             if w.iter().filter(|v| v.is_finite()).count() >= min_observations {
                 slot[i] = Some(profiles.len());
                 eligible.push(i);
-                let _p = obs.map(|o| o.profile_build.enter());
-                profiles.push(CorProfile::new(w));
+                profiles.push(profile_one(w, obs));
             }
         }
-        let sketches = sketch_series_observed(&profiles, &SketchConfig::default(), obs);
+        let sketches = sketch_series(&profiles, &SketchConfig::default(), obs);
         MotifIndex {
             n_windows: n,
             min_observations,
@@ -497,24 +423,10 @@ impl MotifIndex {
     }
 }
 
-/// Sketch-pruned [`discover_motifs`]: identical output, but pairs provably
-/// below every decision threshold are dismissed by cheap sketch bounds
-/// instead of exact Definition-1 evaluation. Builds a throwaway
-/// [`MotifIndex`]; to amortize the index across several runs (daily *and*
-/// weekly families, ablation sweeps), build it once and call
-/// [`discover_motifs_indexed`].
-pub fn discover_motifs_pruned(windows: &[Vec<f64>], config: &MotifConfig) -> Vec<Motif> {
-    discover_motifs_indexed(
-        &MotifIndex::new(windows, config.min_observations),
-        config,
-        None,
-    )
-}
-
 /// Motif discovery over a prebuilt [`MotifIndex`], with sketch pruning.
 ///
-/// Bit-identical to `discover_motifs_observed` on the same windows and
-/// config, by the following argument:
+/// Bit-identical to dense discovery — every pair evaluated exactly, which
+/// is this same path at prune threshold ≤ 0 — by the following argument:
 ///
 /// * The sparse matrix prunes at `φ_prune = min(φ, ¾φ-group, merge)`, so a
 ///   pruned pair's exact similarity is provably `< φ_prune − margin`, and
@@ -522,11 +434,20 @@ pub fn discover_motifs_pruned(windows: &[Vec<f64>], config: &MotifConfig) -> Vec
 ///   verdict uses, even after `f64` re-verification. Reporting it as
 ///   [`PRUNED_SIM`] therefore yields the same `false` verdict the dense
 ///   path reaches. If any threshold is ≤ 0 the prune threshold is ≤ 0 and
-///   the engine evaluates every pair — trivially dense.
+///   the engine evaluates every pair — the dense path itself.
 /// * Surviving pairs carry the engine's bit-identical `f32` similarity, the
 ///   candidate scan walks them in the same lexicographic order the dense
 ///   scan uses, and the descending-similarity sort is stable — so the
 ///   greedy growth sees the exact same pair sequence.
+///
+/// When `obs` is `Some`, the run opens a span on
+/// [`PipelineObs::motif_discovery`] and feeds the prune-tier counters of
+/// the matrix build, the candidate-scan counters (`pairs_evaluated` /
+/// `candidate_pairs` / `pairs_pruned` over the sketch survivors),
+/// `members_grown` / `motifs_merged`, the near-threshold instrument
+/// (`near_phi` / `near_group`, within
+/// [`NEAR_THRESHOLD_BAND`](crate::obs::NEAR_THRESHOLD_BAND) of φ and ¾φ)
+/// and `f64_reverified`.
 ///
 /// Returns motifs sorted by descending support. Panics if
 /// `config.min_observations` differs from the index's.
@@ -535,20 +456,34 @@ pub fn discover_motifs_indexed(
     config: &MotifConfig,
     obs: Option<&PipelineObs>,
 ) -> Vec<Motif> {
+    let phi_prune = config
+        .phi
+        .min(config.group_threshold())
+        .min(config.merge_threshold);
+    discover_pruned_at(index, config, phi_prune, obs)
+}
+
+/// [`discover_motifs_indexed`] with an explicit prune threshold, which must
+/// not exceed any decision threshold of `config`; at `phi_prune ≤ 0` every
+/// pair is evaluated (the dense oracle of the unit tests).
+fn discover_pruned_at(
+    index: &MotifIndex,
+    config: &MotifConfig,
+    phi_prune: f64,
+    obs: Option<&PipelineObs>,
+) -> Vec<Motif> {
     assert_eq!(
         config.min_observations, index.min_observations,
         "MotifIndex was built with a different eligibility cutoff"
     );
     let _span = obs.map(|o| o.motif_discovery.enter());
     let group_threshold = config.group_threshold();
-    let phi_prune = config.phi.min(group_threshold).min(config.merge_threshold);
-    let prune_config = PruneConfig {
-        threshold: phi_prune,
-        sketch: SketchConfig::default(),
-        matrix: CorMatrixConfig::default(),
-    };
-    let (sparse, _stats) =
-        cor_matrix_pruned_observed(&index.profiles, &index.sketches, &prune_config, obs);
+    let (sparse, _stats) = cor_matrix_pruned(
+        &index.profiles,
+        &index.sketches,
+        &PruneConfig::at_threshold(phi_prune),
+        obs,
+    );
 
     let slot = &index.slot;
     let sim = |i: usize, j: usize| -> f32 {
@@ -557,13 +492,15 @@ pub fn discover_motifs_indexed(
             _ => 0.0,
         }
     };
+    // Membership verdicts near a threshold are decided in f64, never off
+    // the rounded f32 (the CondensedMatrix quantization guard).
     let mut exact = ExactChecker::new(&index.profiles, slot);
 
-    // Candidate scan over the survivors only, in the same lexicographic
-    // (row-major upper-triangle) order the dense scan uses. Pruned pairs
-    // can never be candidates — their dense f32 similarity is below
-    // φ_prune ≤ φ and their exact value below φ_prune − margin, so the
-    // dense scan rejects them with or without re-verification.
+    // Candidate scan over the survivors only, in lexicographic (row-major
+    // upper-triangle) order. Pruned pairs can never be candidates — their
+    // dense f32 similarity is below φ_prune ≤ φ and their exact value
+    // below φ_prune − margin, so a dense scan rejects them with or without
+    // re-verification.
     let mut candidate_pairs: Vec<(usize, usize)> = Vec::new();
     for (a, b, s) in sparse.entries() {
         let (i, j) = (index.eligible[a], index.eligible[b]);
@@ -600,6 +537,12 @@ pub fn discover_motifs_indexed(
 mod tests {
     use super::*;
     use crate::similarity::cor;
+    use proptest::prelude::*;
+
+    /// Dense discovery: the indexed path with nothing pruned.
+    fn dense_oracle(index: &MotifIndex, config: &MotifConfig) -> Vec<Motif> {
+        discover_pruned_at(index, config, 0.0, None)
+    }
 
     /// An evening-shaped window (8 three-hour bins), with variation.
     fn evening(seed: usize) -> Vec<f64> {
@@ -794,11 +737,15 @@ mod tests {
                 ..MotifConfig::default()
             },
         ];
-        let index = MotifIndex::new(&windows, MotifConfig::default().min_observations);
+        let index = MotifIndex::observed(&windows, MotifConfig::default().min_observations, None);
         for config in &configs {
-            let dense = discover_motifs(&windows, config);
-            let pruned = discover_motifs_pruned(&windows, config);
-            assert_eq!(dense, pruned, "phi {}", config.phi);
+            let dense = dense_oracle(&index, config);
+            assert_eq!(
+                dense,
+                discover_motifs(&windows, config),
+                "phi {}",
+                config.phi
+            );
             let indexed = discover_motifs_indexed(&index, config, None);
             assert_eq!(dense, indexed, "indexed, phi {}", config.phi);
         }
@@ -809,7 +756,7 @@ mod tests {
         // The satellite: one shared sketch index reused across window
         // families and configs, instead of rebuilding per family.
         let windows: Vec<Vec<f64>> = (0..5).map(evening).chain((0..5).map(morning)).collect();
-        let index = MotifIndex::new(&windows, 3);
+        let index = MotifIndex::observed(&windows, 3, None);
         assert_eq!(index.n_windows(), 10);
         assert_eq!(index.n_eligible(), 10);
         for phi in [0.6, 0.7, 0.8, 0.9] {
@@ -829,7 +776,7 @@ mod tests {
     #[should_panic(expected = "eligibility cutoff")]
     fn indexed_discovery_rejects_mismatched_cutoff() {
         let windows: Vec<Vec<f64>> = (0..4).map(evening).collect();
-        let index = MotifIndex::new(&windows, 5);
+        let index = MotifIndex::observed(&windows, 5, None);
         let _ = discover_motifs_indexed(&index, &MotifConfig::default(), None);
     }
 
@@ -867,5 +814,39 @@ mod tests {
             permissive.len() <= strict.len(),
             "permissive merging cannot yield more motifs"
         );
+    }
+
+    /// A window sample that may be a NaN hole or a quantized (tie-heavy)
+    /// value.
+    fn holey_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            5 => 0.0f64..1e7,
+            2 => Just(f64::NAN),
+            3 => (0u32..4).prop_map(|q| (q * 250) as f64),
+        ]
+    }
+
+    proptest! {
+        /// Sketch-pruned motif discovery returns exactly the motifs of the
+        /// dense path — same members, same order — for arbitrary window
+        /// sets and thresholds.
+        #[test]
+        fn pruned_motifs_match_dense(
+            data in prop::collection::vec(holey_value(), 40..120),
+            len in 6usize..12,
+            phi in 0.2f64..0.95,
+            merge in 0.1f64..0.9,
+        ) {
+            let windows: Vec<Vec<f64>> = data.chunks_exact(len).map(|c| c.to_vec()).collect();
+            if windows.len() < 2 {
+                continue;
+            }
+            let config = MotifConfig { phi, merge_threshold: merge, ..MotifConfig::default() };
+            let index = MotifIndex::observed(&windows, config.min_observations, None);
+            prop_assert_eq!(
+                dense_oracle(&index, &config),
+                discover_motifs_indexed(&index, &config, None)
+            );
+        }
     }
 }

@@ -348,7 +348,9 @@ pub struct PipelineObs {
     /// One `(pair, scale)` lag-search scan: the prune cascade plus the
     /// exact cells across the whole lag range.
     pub lag_pair_scan: Stage,
-    /// Pairs whose similarity was compared against a motif threshold.
+    /// Pairs whose similarity was compared against φ in the motif
+    /// candidate scan: the survivors of the prune tiers
+    /// (`prune_pairs_evaluated` of the discovery's matrix build).
     pub pairs_evaluated: Counter,
     /// Pairs accepted as motif candidates (`cor ≥ φ`).
     pub candidate_pairs: Counter,

@@ -11,7 +11,7 @@
 //! on every gateway), this notion asks for *repetitive behavior across
 //! calendar windows* — exactly the regularity that motifs formalize.
 
-use crate::engine::cor_profiled;
+use crate::engine::{cor_profiled, profile_one};
 use crate::obs::{sim_millis, PipelineObs};
 use wtts_stats::{ks_two_sample, CorProfile, CorScratch, ALPHA};
 
@@ -38,29 +38,26 @@ impl StationarityCheck {
     }
 }
 
-/// Checks strong stationarity across `windows` (each a slice of samples at
-/// the same binning), using `cor_threshold` and significance `alpha`.
+/// Whether one pairwise similarity clears Definition 2's correlation bar,
+/// which is strict: `cor > 0.6`.
+pub(crate) fn correlation_passes(c: f64) -> bool {
+    c > STATIONARITY_COR
+}
+
+/// Definition 2 with the paper's thresholds (`cor > 0.6`, α = 0.05):
+/// checks strong stationarity across `windows`, each a slice of samples at
+/// the same binning.
 ///
 /// Windows with no finite observation are skipped — a gateway that missed a
 /// whole week is judged on the weeks it reported. Returns `None` when fewer
 /// than two windows carry observations (stationarity is then undefined).
-pub fn strong_stationarity_at(
+///
+/// When `obs` is `Some`, the sweep opens a span on
+/// [`PipelineObs::stationarity_sweep`], counts each two-sample KS test on
+/// `ks_tests`, and records every pairwise similarity (in thousandths) into
+/// `stationarity_sim_millis`.
+pub fn strong_stationarity(
     windows: &[&[f64]],
-    cor_threshold: f64,
-    alpha: f64,
-) -> Option<StationarityCheck> {
-    strong_stationarity_observed(windows, cor_threshold, alpha, None)
-}
-
-/// [`strong_stationarity_at`] with optional observability: when `obs` is
-/// `Some`, the sweep opens a span on [`PipelineObs::stationarity_sweep`],
-/// counts each two-sample KS test on `ks_tests`, and records every pairwise
-/// similarity (in thousandths) into `stationarity_sim_millis`. With `None`
-/// the sweep is exactly `strong_stationarity_at`.
-pub fn strong_stationarity_observed(
-    windows: &[&[f64]],
-    cor_threshold: f64,
-    alpha: f64,
     obs: Option<&PipelineObs>,
 ) -> Option<StationarityCheck> {
     let observed: Vec<&&[f64]> = windows
@@ -74,13 +71,7 @@ pub fn strong_stationarity_observed(
     // Profile each window once; the quadratic pair loop then reuses the
     // per-window masks, moments and rank artifacts (full f64 precision, as
     // min_cor feeds threshold comparisons downstream).
-    let profiles: Vec<CorProfile> = observed
-        .iter()
-        .map(|w| {
-            let _p = obs.map(|o| o.profile_build.enter());
-            CorProfile::new(w)
-        })
-        .collect();
+    let profiles: Vec<CorProfile> = observed.iter().map(|w| profile_one(w, obs)).collect();
     let mut scratch = CorScratch::new();
     let mut min_cor = f64::INFINITY;
     let mut correlations_pass = true;
@@ -89,7 +80,7 @@ pub fn strong_stationarity_observed(
         for j in (i + 1)..observed.len() {
             let c = cor_profiled(&profiles[i], &profiles[j], &mut scratch);
             min_cor = min_cor.min(c);
-            if c <= cor_threshold {
+            if !correlation_passes(c) {
                 correlations_pass = false;
             }
             if let Some(o) = obs {
@@ -99,7 +90,7 @@ pub fn strong_stationarity_observed(
                 if let Some(o) = obs {
                     o.ks_tests.incr();
                 }
-                if ks.rejected(alpha) {
+                if ks.rejected(ALPHA) {
                     ks_rejected = true;
                 }
             }
@@ -111,11 +102,6 @@ pub fn strong_stationarity_observed(
         ks_rejected,
         n_windows: observed.len(),
     })
-}
-
-/// Definition 2 with the paper's thresholds (`cor > 0.6`, α = 0.05).
-pub fn strong_stationarity(windows: &[&[f64]]) -> Option<StationarityCheck> {
-    strong_stationarity_at(windows, STATIONARITY_COR, ALPHA)
 }
 
 #[cfg(test)]
@@ -137,7 +123,7 @@ mod tests {
     fn repeating_pattern_is_stationary() {
         let w: Vec<Vec<f64>> = (0..4).map(shaped_window).collect();
         let refs: Vec<&[f64]> = w.iter().map(|v| v.as_slice()).collect();
-        let check = strong_stationarity(&refs).unwrap();
+        let check = strong_stationarity(&refs, None).unwrap();
         assert!(check.is_stationary(), "{check:?}");
         assert!(check.min_cor > 0.9);
         assert_eq!(check.n_windows, 4);
@@ -164,7 +150,7 @@ mod tests {
                 }
             })
             .collect();
-        let check = strong_stationarity(&[&morning, &evening]).unwrap();
+        let check = strong_stationarity(&[&morning, &evening], None).unwrap();
         assert!(!check.is_stationary());
         assert!(!check.correlations_pass);
     }
@@ -175,7 +161,7 @@ mod tests {
         // correlation passes, the KS distribution check must catch it.
         let small: Vec<f64> = (0..200).map(|i| (i % 24) as f64).collect();
         let large: Vec<f64> = small.iter().map(|v| v * 1000.0).collect();
-        let check = strong_stationarity(&[&small, &large]).unwrap();
+        let check = strong_stationarity(&[&small, &large], None).unwrap();
         assert!(check.correlations_pass, "shape identical");
         assert!(check.ks_rejected, "scale change must reject KS");
         assert!(!check.is_stationary());
@@ -186,7 +172,7 @@ mod tests {
         let w1 = shaped_window(0);
         let w2 = shaped_window(1);
         let missing = vec![f64::NAN; 24];
-        let check = strong_stationarity(&[&w1, &missing, &w2]).unwrap();
+        let check = strong_stationarity(&[&w1, &missing, &w2], None).unwrap();
         assert_eq!(check.n_windows, 2);
         assert!(check.is_stationary());
     }
@@ -195,24 +181,28 @@ mod tests {
     fn fewer_than_two_windows_is_none() {
         let w1 = shaped_window(0);
         let missing = vec![f64::NAN; 24];
-        assert!(strong_stationarity(&[&w1, &missing]).is_none());
-        assert!(strong_stationarity(&[]).is_none());
+        assert!(strong_stationarity(&[&w1, &missing], None).is_none());
+        assert!(strong_stationarity(&[], None).is_none());
     }
 
     #[test]
     fn threshold_is_strict() {
-        // Two windows correlating at ~exactly the threshold must fail (the
-        // definition demands > 0.6).
-        let w1 = shaped_window(0);
-        let check = strong_stationarity_at(&[&w1, &w1], 1.1, 0.05).unwrap();
-        assert!(!check.correlations_pass, "cor of 1.0 is not > 1.1");
+        // A pair correlating at exactly the threshold must fail (the
+        // definition demands > 0.6); the next float up passes.
+        assert!(!correlation_passes(STATIONARITY_COR));
+        assert!(correlation_passes(STATIONARITY_COR.next_up()));
+        // And the verdict is exactly "the weakest pair clears the bar".
+        let w: Vec<Vec<f64>> = (0..4).map(shaped_window).collect();
+        let refs: Vec<&[f64]> = w.iter().map(|v| v.as_slice()).collect();
+        let check = strong_stationarity(&refs, None).unwrap();
+        assert_eq!(check.correlations_pass, correlation_passes(check.min_cor));
     }
 
     #[test]
     fn min_cor_reported() {
         let w: Vec<Vec<f64>> = (0..3).map(shaped_window).collect();
         let refs: Vec<&[f64]> = w.iter().map(|v| v.as_slice()).collect();
-        let check = strong_stationarity(&refs).unwrap();
+        let check = strong_stationarity(&refs, None).unwrap();
         // min_cor is the weakest link; verify against a manual scan.
         let mut manual = f64::INFINITY;
         for i in 0..3 {

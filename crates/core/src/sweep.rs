@@ -21,8 +21,8 @@
 //!   re-sorting per pair; the per-pair coefficients and the KS sup-scan
 //!   bottom out in the stats crate's kernel layer (`wtts_stats::kernels`),
 //!   bit-identical to the loops they replaced;
-//! * the `series × candidate` grid fans out over `thread::scope`
-//!   work-stealing workers (the [`crate::engine::cor_matrix`] pattern), one
+//! * the `series × candidate` grid fans out over the engine's work-stealing
+//!   `run_grid` (the loop behind [`crate::engine::cor_matrix`] too), one
 //!   [`CorScratch`] per worker; results are deterministic in the thread
 //!   count because every cell is computed independently and written to its
 //!   own slot.
@@ -44,11 +44,9 @@
 //! [`strong_stationarity`]: crate::stationarity::strong_stationarity
 
 use crate::aggregation::GranularityScore;
-use crate::engine::cor_profiled;
+use crate::engine::{cor_profiled, run_grid};
 use crate::obs::{sim_millis, PipelineObs};
-use crate::stationarity::{StationarityCheck, STATIONARITY_COR};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use crate::stationarity::{correlation_passes, StationarityCheck};
 use wtts_stats::{ks_two_sample_sorted, CorProfile, CorScratch, ALPHA};
 use wtts_timeseries::{
     aggregate, Granularity, GranularityPyramid, PyramidLevel, TimeSeries, MINUTES_PER_DAY,
@@ -60,18 +58,6 @@ use wtts_timeseries::{
 pub struct SweepConfig {
     /// Worker threads; `None` uses the machine's available parallelism.
     pub threads: Option<usize>,
-}
-
-impl SweepConfig {
-    fn resolved_threads(&self) -> usize {
-        self.threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            })
-            .max(1)
-    }
 }
 
 /// One series' sweep state: the original series plus, when the values are
@@ -264,7 +250,7 @@ fn score_group(
             *total += c;
             *pairs += 1;
             min_cor = min_cor.min(c);
-            if c <= STATIONARITY_COR {
+            if !correlation_passes(c) {
                 correlations_pass = false;
             }
             if let Some(o) = obs {
@@ -460,62 +446,6 @@ pub fn daily_cell(
     )
 }
 
-/// Runs `compute` over every `(row, col)` cell of a grid, fanning the flat
-/// task list across work-stealing workers. Each worker owns one
-/// [`CorScratch`]; each cell writes its own slot, so results are
-/// deterministic in the thread count. Also drives the lag-search grids
-/// ([`crate::lagsearch`]).
-pub(crate) fn run_grid<C, F>(
-    n_rows: usize,
-    n_cols: usize,
-    threads: usize,
-    compute: F,
-) -> Vec<Vec<C>>
-where
-    C: Send,
-    F: Fn(usize, usize, &mut CorScratch) -> C + Sync,
-{
-    let total = n_rows * n_cols;
-    if threads <= 1 || total <= 1 {
-        let mut scratch = CorScratch::new();
-        return (0..n_rows)
-            .map(|r| (0..n_cols).map(|c| compute(r, c, &mut scratch)).collect())
-            .collect();
-    }
-    let slots: Vec<Mutex<Option<C>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(total) {
-            scope.spawn(|| {
-                let mut scratch = CorScratch::new();
-                loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= total {
-                        break;
-                    }
-                    let cell = compute(t / n_cols, t % n_cols, &mut scratch);
-                    *slots[t].lock().expect("no poisoned slot") = Some(cell);
-                }
-            });
-        }
-    });
-    let mut slots = slots.into_iter();
-    (0..n_rows)
-        .map(|_| {
-            (0..n_cols)
-                .map(|_| {
-                    slots
-                        .next()
-                        .expect("one slot per cell")
-                        .into_inner()
-                        .expect("no poisoned slot")
-                        .expect("every task index was claimed")
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// A weekly sweep result: `cells[series][candidate]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeeklySweep {
@@ -554,7 +484,7 @@ pub fn weekly_sweep(
     let cells = run_grid(
         series.len(),
         candidates.len(),
-        config.resolved_threads(),
+        config.threads,
         |r, c, scratch| {
             let (g, offset) = candidates[c];
             weekly_cell_from(&sources[r], weeks, g, offset, true, scratch, obs)
@@ -586,7 +516,7 @@ pub fn daily_sweep(
     let cells = run_grid(
         series.len(),
         candidates.len(),
-        config.resolved_threads(),
+        config.threads,
         |r, c, scratch| {
             daily_cell_from(
                 &sources[r],
@@ -675,7 +605,7 @@ mod tests {
             Some((total / pairs as f64, pairs))
         };
         let refs: Vec<&[f64]> = windows.iter().map(|w| w.as_slice()).collect();
-        (score, strong_stationarity(&refs))
+        (score, strong_stationarity(&refs, None))
     }
 
     /// The pre-sweep daily path, reimplemented inline as the reference.
@@ -710,7 +640,7 @@ mod tests {
                 .filter(|w| w.weekday.map(|d| d.index()) == Some(weekday))
                 .map(|w| w.series.values())
                 .collect();
-            checks[weekday as usize] = strong_stationarity(&all);
+            checks[weekday as usize] = strong_stationarity(&all, None);
         }
         let score = (pairs > 0).then(|| (total / pairs as f64, pairs));
         (score, checks)

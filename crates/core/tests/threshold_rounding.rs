@@ -11,13 +11,18 @@
 //! them (re-verifying near-threshold comparisons in `f64`), while pairs
 //! comfortably over the threshold still join.
 
-use wtts_core::motif::{discover_motifs, discover_motifs_observed, MotifConfig};
+use wtts_core::motif::{discover_motifs, discover_motifs_indexed, Motif, MotifConfig, MotifIndex};
 use wtts_core::obs::PipelineObs;
-use wtts_core::stationarity::strong_stationarity_at;
 use wtts_core::{
-    cor, cor_matrix, cor_matrix_observed, profile_series, profile_series_observed,
-    strong_stationarity_observed, CorMatrixConfig,
+    cor, cor_matrix, cor_matrix_pruned, profile_series, sketch_series, strong_stationarity,
+    CorMatrixConfig, PruneConfig,
 };
+
+/// Motif discovery with `obs` watching every stage, index build included.
+fn discover_observed(windows: &[Vec<f64>], config: &MotifConfig, obs: &PipelineObs) -> Vec<Motif> {
+    let index = MotifIndex::observed(windows, config.min_observations, Some(obs));
+    discover_motifs_indexed(&index, config, Some(obs))
+}
 
 /// The base window: one large outlier followed by scrambled small values.
 /// Paired with [`probe_window`], the Pearson coefficient is a smooth,
@@ -148,7 +153,7 @@ fn clearly_similar_pair_still_forms_a_motif() {
 fn near_threshold_pair_is_reverified_and_counted() {
     let (x, y) = pair_rounding_up_across(0.8, 24);
     let obs = PipelineObs::new();
-    let motifs = discover_motifs_observed(&[x, y], &MotifConfig::default(), Some(&obs));
+    let motifs = discover_observed(&[x, y], &MotifConfig::default(), &obs);
     assert!(motifs.is_empty());
     let snap = obs.snapshot();
     assert!(snap.quiescent(), "all stages quiescent after a run");
@@ -212,31 +217,38 @@ fn observed_runs_are_bit_identical_to_unobserved() {
 
     // Motif discovery.
     let plain = discover_motifs(&windows, &MotifConfig::default());
-    let observed = discover_motifs_observed(&windows, &MotifConfig::default(), Some(&obs));
+    let observed = discover_observed(&windows, &MotifConfig::default(), &obs);
     assert_eq!(plain, observed);
 
-    // The condensed matrix, compared bit for bit.
-    let profiles = profile_series(&windows);
-    let profiles_obs = profile_series_observed(&windows, Some(&obs));
+    // The condensed and the pruned matrix, compared bit for bit.
+    let profiles = profile_series(&windows, None);
+    let profiles_obs = profile_series(&windows, Some(&obs));
     let config = CorMatrixConfig::default();
-    let m_plain = cor_matrix(&profiles, &config);
-    let m_obs = cor_matrix_observed(&profiles_obs, &config, Some(&obs));
+    let m_plain = cor_matrix(&profiles, &config, None);
+    let m_obs = cor_matrix(&profiles_obs, &config, Some(&obs));
     assert_eq!(m_plain.n(), m_obs.n());
     for (a, b) in m_plain.values().iter().zip(m_obs.values()) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
+    let prune = PruneConfig::at_threshold(0.6);
+    let sketches = sketch_series(&profiles, &prune.sketch, None);
+    let sketches_obs = sketch_series(&profiles_obs, &prune.sketch, Some(&obs));
+    let p_plain = cor_matrix_pruned(&profiles, &sketches, &prune, None);
+    let p_obs = cor_matrix_pruned(&profiles_obs, &sketches_obs, &prune, Some(&obs));
+    assert_eq!(p_plain, p_obs);
 
     // Stationarity sweeps, min_cor compared bit for bit.
     let refs: Vec<&[f64]> = windows.iter().map(|w| w.as_slice()).collect();
-    let s_plain = strong_stationarity_at(&refs, 0.6, 0.05).unwrap();
-    let s_obs = strong_stationarity_observed(&refs, 0.6, 0.05, Some(&obs)).unwrap();
+    let s_plain = strong_stationarity(&refs, None).unwrap();
+    let s_obs = strong_stationarity(&refs, Some(&obs)).unwrap();
     assert_eq!(s_plain.min_cor.to_bits(), s_obs.min_cor.to_bits());
     assert_eq!(s_plain, s_obs);
 
-    // And the registry that watched all three is coherent.
+    // And the registry that watched all of it is coherent.
     let snap = obs.snapshot();
     assert!(snap.quiescent());
     assert!(snap.counter("pairs_evaluated") > 0);
+    assert!(snap.counter("prune_pairs_total") > 0);
     assert!(snap.counter("ks_tests") > 0);
     assert!(snap.stationarity_sim_millis.total() > 0);
 }
@@ -247,12 +259,9 @@ fn observed_runs_are_bit_identical_to_unobserved() {
 fn row_fill_stages_conserve_across_threads() {
     let windows = mixed_windows();
     let obs = PipelineObs::new();
-    let profiles = profile_series(&windows);
-    let config = CorMatrixConfig {
-        threads: Some(4),
-        ..CorMatrixConfig::default()
-    };
-    let _ = cor_matrix_observed(&profiles, &config, Some(&obs));
+    let profiles = profile_series(&windows, None);
+    let config = CorMatrixConfig { threads: Some(4) };
+    let _ = cor_matrix(&profiles, &config, Some(&obs));
     let snap = obs.snapshot();
     assert!(snap.quiescent(), "{snap:?}");
     let row_fill = &snap

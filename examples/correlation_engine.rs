@@ -39,8 +39,8 @@ fn main() {
 
     // Profile each window once, then sweep the upper triangle.
     let start = Instant::now();
-    let profiles = profile_series(&windows);
-    let matrix = cor_matrix(&profiles, &CorMatrixConfig::default());
+    let profiles = profile_series(&windows, None);
+    let matrix = cor_matrix(&profiles, &CorMatrixConfig::default(), None);
     let engine_time = start.elapsed();
 
     // The naive loop calls cor() per pair, redoing the per-series work

@@ -7,21 +7,22 @@
 //! ```
 //!
 //! With `--metrics-json [PATH]` the report additionally runs an
-//! *instrumented* analysis pass — profile build, condensed-matrix row fill,
-//! motif discovery and a stationarity sweep over the fleet's daily windows,
-//! observed by a [`PipelineObs`] registry — and emits the resulting
+//! *instrumented* analysis pass — profile and sketch build, the
+//! sketch-pruned row fill behind motif discovery, and a stationarity sweep
+//! over the fleet's daily windows, observed by a [`PipelineObs`]
+//! registry — and emits the resulting
 //! [`ObsSnapshot`] (stage spans, counters, near-threshold instrument,
 //! conservation verdict) as JSON to `PATH` (or stdout when no path is
 //! given).
 
 use std::collections::HashMap;
 use wtts::core::lagsearch::{lag_search, LagSearchConfig};
-use wtts::core::motif::{discover_motifs_observed, MotifConfig};
+use wtts::core::motif::{discover_motifs_indexed, MotifConfig, MotifIndex};
 use wtts::core::obs::PipelineObs;
-use wtts::core::{strong_stationarity_observed, STATIONARITY_COR};
+use wtts::core::strong_stationarity;
 use wtts::devid::DeviceType;
 use wtts::gwsim::{Fleet, FleetConfig, Reliability};
-use wtts::stats::{fit_zipf, ALPHA};
+use wtts::stats::fit_zipf;
 use wtts::timeseries::{aggregate, daily_windows, Granularity};
 
 /// Parses `--metrics-json [PATH]`: `None` = flag absent, `Some(None)` =
@@ -51,7 +52,9 @@ fn observed_analysis(fleet: &Fleet, obs: &PipelineObs) {
         windows.extend(mine.iter().cloned());
         per_gateway.push(mine);
     }
-    let motifs = discover_motifs_observed(&windows, &MotifConfig::default(), Some(obs));
+    let config = MotifConfig::default();
+    let index = MotifIndex::observed(&windows, config.min_observations, Some(obs));
+    let motifs = discover_motifs_indexed(&index, &config, Some(obs));
     println!(
         "\ninstrumented pass: {} motifs over {} daily windows from {gateways} gateways",
         motifs.len(),
@@ -60,8 +63,7 @@ fn observed_analysis(fleet: &Fleet, obs: &PipelineObs) {
     let mut stationary = 0usize;
     for mine in &per_gateway {
         let refs: Vec<&[f64]> = mine.iter().map(|w| w.as_slice()).collect();
-        if let Some(check) = strong_stationarity_observed(&refs, STATIONARITY_COR, ALPHA, Some(obs))
-        {
+        if let Some(check) = strong_stationarity(&refs, Some(obs)) {
             if check.is_stationary() {
                 stationary += 1;
             }

@@ -30,18 +30,17 @@ metrics_json="$(mktemp /tmp/wtts_ci_metrics.XXXXXX.json)"
 sweep_metrics_json="$(mktemp /tmp/wtts_ci_sweep_metrics.XXXXXX.json)"
 prune_metrics_json="$(mktemp /tmp/wtts_ci_prune_metrics.XXXXXX.json)"
 lag_metrics_json="$(mktemp /tmp/wtts_ci_lag_metrics.XXXXXX.json)"
-trap 'rm -f "$metrics_json" "$sweep_metrics_json" "$prune_metrics_json" "$lag_metrics_json"' EXIT
+report_metrics_json="$(mktemp /tmp/wtts_ci_report_metrics.XXXXXX.json)"
+trap 'rm -f "$metrics_json" "$sweep_metrics_json" "$prune_metrics_json" "$lag_metrics_json" \
+    "$report_metrics_json"' EXIT
 
 echo "== granularity_sweep bench (smoke) =="
 cargo bench -p wtts-bench --bench granularity_sweep -- --smoke --metrics-json "$sweep_metrics_json"
-python3 - "$sweep_metrics_json" <<'PY'
-import json, sys
+PYTHONPATH=scripts python3 - "$sweep_metrics_json" <<'PY'
+import sys
+from perf_gate import load_json
 
-def reject_nonfinite(tok):
-    raise ValueError(f"non-finite constant {tok} leaked into JSON")
-
-with open(sys.argv[1]) as fh:
-    m = json.load(fh, parse_constant=reject_nonfinite)
+m = load_json(sys.argv[1])
 
 assert m["conserved"] is True, "stage books must balance"
 assert m["quiescent"] is True, "no span may be left open"
@@ -59,14 +58,11 @@ python3 scripts/perf_gate.py --only granularity_sweep
 
 echo "== pruned_pairwise bench (smoke) =="
 cargo bench -p wtts-bench --bench pruned_pairwise -- --smoke --metrics-json "$prune_metrics_json"
-python3 - "$prune_metrics_json" <<'PY'
-import json, sys
+PYTHONPATH=scripts python3 - "$prune_metrics_json" <<'PY'
+import sys
+from perf_gate import load_json
 
-def reject_nonfinite(tok):
-    raise ValueError(f"non-finite constant {tok} leaked into JSON")
-
-with open(sys.argv[1]) as fh:
-    m = json.load(fh, parse_constant=reject_nonfinite)
+m = load_json(sys.argv[1])
 
 assert m["conserved"] is True, "stage books must balance"
 assert m["quiescent"] is True, "no span may be left open"
@@ -85,14 +81,11 @@ python3 scripts/perf_gate.py --only pruned_pairwise
 
 echo "== lag_search bench (smoke) =="
 cargo bench -p wtts-bench --bench lag_search -- --smoke --metrics-json "$lag_metrics_json"
-python3 - "$lag_metrics_json" <<'PY'
-import json, sys
+PYTHONPATH=scripts python3 - "$lag_metrics_json" <<'PY'
+import sys
+from perf_gate import load_json
 
-def reject_nonfinite(tok):
-    raise ValueError(f"non-finite constant {tok} leaked into JSON")
-
-with open(sys.argv[1]) as fh:
-    m = json.load(fh, parse_constant=reject_nonfinite)
+m = load_json(sys.argv[1])
 
 assert m["conserved"] is True, "stage books must balance"
 assert m["quiescent"] is True, "no span may be left open"
@@ -123,14 +116,11 @@ python3 scripts/perf_gate.py
 echo "== examples (smoke) =="
 cargo run --release --example quickstart >/dev/null
 cargo run --release --example fleet_ingest -- --metrics-json "$metrics_json" >/dev/null
-python3 - "$metrics_json" <<'PY'
-import json, sys
+PYTHONPATH=scripts python3 - "$metrics_json" <<'PY'
+import sys
+from perf_gate import load_json
 
-def reject_nonfinite(tok):
-    raise ValueError(f"non-finite constant {tok} leaked into JSON")
-
-with open(sys.argv[1]) as fh:
-    m = json.load(fh, parse_constant=reject_nonfinite)
+m = load_json(sys.argv[1])
 
 accounted = (
     m["ingested"]
@@ -150,6 +140,30 @@ for shard in m["per_shard"]:
 print("metrics JSON ok: conservation holds across", len(m["per_shard"]), "shards")
 PY
 
+# The instrumented fleet report runs motif discovery on the sketch-pruned
+# path: every survivor of the prune tiers is either a motif candidate or
+# rejected, and the tiers plus exact evaluations cover every pair.
+cargo run --release --example fleet_report -- 12 --metrics-json "$report_metrics_json" >/dev/null
+PYTHONPATH=scripts python3 - "$report_metrics_json" <<'PY'
+import sys
+from perf_gate import load_json
+
+m = load_json(sys.argv[1])
+assert m["conserved"] is True, "stage books must balance"
+assert m["quiescent"] is True, "no span may be left open"
+c = m["counters"]
+assert c["candidate_pairs"] + c["pairs_pruned"] == c["pairs_evaluated"], c
+tiers = (
+    c["pairs_pruned_degenerate"]
+    + c["pairs_pruned_sax"]
+    + c["pairs_pruned_moment"]
+    + c["prune_pairs_evaluated"]
+)
+assert tiers == c["prune_pairs_total"], c
+print("fleet report obs ok:", c["prune_pairs_evaluated"], "of",
+      c["prune_pairs_total"], "pairs evaluated,", c["candidate_pairs"], "candidates")
+PY
+
 echo "== crash-recovery smoke =="
 wal_dir="$(mktemp -d /tmp/wtts_ci_wal.XXXXXX)"
 clean_wal_dir="$(mktemp -d /tmp/wtts_ci_wal_clean.XXXXXX)"
@@ -158,7 +172,7 @@ clean_json="$(mktemp /tmp/wtts_ci_clean.XXXXXX.json)"
 recovered_out="$(mktemp /tmp/wtts_ci_recovered_out.XXXXXX.txt)"
 clean_out="$(mktemp /tmp/wtts_ci_clean_out.XXXXXX.txt)"
 trap 'rm -f "$metrics_json" "$sweep_metrics_json" "$prune_metrics_json" \
-    "$lag_metrics_json" "$recovered_json" "$clean_json" "$recovered_out" \
+    "$lag_metrics_json" "$report_metrics_json" "$recovered_json" "$clean_json" "$recovered_out" \
     "$clean_out"; rm -rf "$wal_dir" "$clean_wal_dir"' EXIT
 
 # Kill the ingest dead (process abort, no unwinding) mid-stream...
@@ -198,17 +212,11 @@ if [ "$recovered_digest" != "$clean_digest" ]; then
     exit 1
 fi
 
-python3 - "$recovered_json" "$clean_json" <<'PY'
-import json, sys
+PYTHONPATH=scripts python3 - "$recovered_json" "$clean_json" <<'PY'
+import sys
+from perf_gate import load_json
 
-def reject_nonfinite(tok):
-    raise ValueError(f"non-finite constant {tok} leaked into JSON")
-
-def load(path):
-    with open(path) as fh:
-        return json.load(fh, parse_constant=reject_nonfinite)
-
-recovered, clean = load(sys.argv[1]), load(sys.argv[2])
+recovered, clean = load_json(sys.argv[1]), load_json(sys.argv[2])
 
 # Every replay-invariant book must match the uninterrupted run exactly;
 # only the durability bookkeeping (replays, recoveries, snapshots, stage
@@ -235,7 +243,7 @@ fault_wal_dir="$(mktemp -d /tmp/wtts_ci_wal_fault.XXXXXX)"
 fault_json="$(mktemp /tmp/wtts_ci_fault.XXXXXX.json)"
 fault_out="$(mktemp /tmp/wtts_ci_fault_out.XXXXXX.txt)"
 trap 'rm -f "$metrics_json" "$sweep_metrics_json" "$prune_metrics_json" \
-    "$lag_metrics_json" "$recovered_json" "$clean_json" "$recovered_out" \
+    "$lag_metrics_json" "$report_metrics_json" "$recovered_json" "$clean_json" "$recovered_out" \
     "$clean_out" "$fault_json" "$fault_out"; \
     rm -rf "$wal_dir" "$clean_wal_dir" "$fault_wal_dir"' EXIT
 
@@ -272,14 +280,11 @@ elif ! grep -q '^durability: DEGRADED' "$fault_out"; then
     exit 1
 fi
 
-python3 - "$fault_json" <<'PY'
-import json, sys
+PYTHONPATH=scripts python3 - "$fault_json" <<'PY'
+import sys
+from perf_gate import load_json
 
-def reject_nonfinite(tok):
-    raise ValueError(f"non-finite constant {tok} leaked into JSON")
-
-with open(sys.argv[1]) as fh:
-    m = json.load(fh, parse_constant=reject_nonfinite)
+m = load_json(sys.argv[1])
 
 # Zero-false-loss: every offered report is in the WAL or in a typed gap.
 gap = m["wal_gap_records"] + m["wal_lost_records"]

@@ -97,7 +97,10 @@ fn load_csv(reader: impl BufRead) -> Result<LoadedFleet, String> {
         };
         let gw = parse_u64(cols[0], "gateway id")?;
         let dev = parse_u64(cols[1], "device id")?;
-        let minute = parse_u64(cols[2], "minute")? as u32;
+        let minute: u32 = cols[2]
+            .trim()
+            .parse()
+            .map_err(|_| format!("line {}: bad minute: {}", lineno + 1, cols[2]))?;
         let bytes_in: f64 = cols[3]
             .trim()
             .parse()
@@ -319,6 +322,9 @@ mod tests {
         assert!(load_csv("".as_bytes()).is_err());
         assert!(load_csv("1,2,3\n".as_bytes()).is_err());
         assert!(load_csv("a,b,c,d,e\n".as_bytes()).is_err());
+        // A minute past u32::MAX is rejected, not wrapped to minute 5.
+        let err = load_csv("0,0,4294967301,1,1\n".as_bytes()).unwrap_err();
+        assert_eq!(err, "line 1: bad minute: 4294967301");
     }
 
     #[test]

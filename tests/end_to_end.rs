@@ -174,10 +174,10 @@ fn stationarity_sanity_on_simulated_windows() {
         })
         .expect("some gateway reports in week 0");
     // A window is always strongly stationary against itself.
-    let check = stationarity::strong_stationarity(&[&w0, &w0]).unwrap();
+    let check = stationarity::strong_stationarity(&[&w0, &w0], None).unwrap();
     assert!(check.is_stationary());
     // Against its negation the correlations must fail.
     let neg: Vec<f64> = w0.iter().map(|v| -v).collect();
-    let check = stationarity::strong_stationarity(&[&w0, &neg]).unwrap();
+    let check = stationarity::strong_stationarity(&[&w0, &neg], None).unwrap();
     assert!(!check.correlations_pass);
 }
