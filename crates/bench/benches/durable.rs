@@ -4,15 +4,23 @@
 //!
 //! Besides the interactive Criterion output, a run refreshes the committed
 //! baseline at `results/BENCH_durable.json`: median wall time and
-//! reports/second per cell, plus the per-append latency distribution
-//! (p50/p99 upper bounds from the lock-free `wal_append` stage histogram).
-//! Appends are buffered and group-committed — the flush (and, with
-//! `--fsync`, the fsync) lands on one append in ~1366, so p50 reads the
-//! buffered-append cost and p99 the group-commit tail.
+//! reports/second per cell, plus the per-batch append latency distribution
+//! (p50/p99/p99.9/max upper bounds from the lock-free `wal_append` stage
+//! histogram). The shard worker logs each popped batch (1024 reports by
+//! default) under one span before consuming it, so one sample covers a
+//! whole batch of buffered appends; the group-commit flush (and, with
+//! fsync, the fsync) lands once per ~1366 records, so inside about three
+//! batches in four, and the fsync tax shows in the upper quantiles.
 //!
 //! `--smoke` runs a fast single-shard pass over a small fleet, asserts the
-//! durable conservation law and a clean (no-gap) verdict, and leaves the
-//! committed baseline alone (used by `scripts/ci.sh`).
+//! durable conservation law, a clean (no-gap) verdict and results identical
+//! to the plain pipeline's, and leaves the committed baseline alone. It
+//! also times plain [`IngestPipeline::run`] and the durable run on the same
+//! stream in the same process (fastest of five alternating runs each) and
+//! writes their ratio, `plain_over_durable`, to the scratch record
+//! `target/perf/durable_smoke.json`, which `scripts/perf_gate.py --only
+//! durable_smoke` gates against the floor in `results/PERF_BUDGET.json`.
+//! An in-run ratio needs no committed baseline and holds across machines.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
@@ -20,7 +28,7 @@ use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use wtts_core::ingest::{IngestConfig, IngestReport, MetricsSnapshot};
+use wtts_core::ingest::{IngestConfig, IngestPipeline, IngestReport, IngestSummary};
 use wtts_core::{wal_disk_usage, Durability, DurableConfig, DurablePipeline, DurableRun};
 use wtts_gwsim::{gateway_reports, ChannelConfig, Fleet, FleetConfig, TaggedReport};
 
@@ -68,23 +76,27 @@ fn fresh_dir() -> PathBuf {
     dir
 }
 
-/// One complete durable run in a fresh directory; returns the final metrics
-/// and the WAL footprint left on disk, then removes the directory.
-fn run(reports: &[IngestReport], fsync: bool, segment_bytes: u64) -> (MetricsSnapshot, u64) {
-    let dir = fresh_dir();
-    let config = IngestConfig {
+/// The single-shard configuration both the durable and the plain runs use.
+fn config() -> IngestConfig {
+    IngestConfig {
         shards: 1,
         ..IngestConfig::default()
-    };
+    }
+}
+
+/// One complete durable run in a fresh directory; returns the summary and
+/// the WAL footprint left on disk, then removes the directory.
+fn run(reports: &[IngestReport], fsync: bool, segment_bytes: u64) -> (IngestSummary, u64) {
+    let dir = fresh_dir();
     let mut durable = DurableConfig::new(&dir);
     durable.fsync = fsync;
     durable.segment_bytes = segment_bytes;
     let mut pipeline =
-        DurablePipeline::create(config, Vec::new(), durable).expect("create durable pipeline");
+        DurablePipeline::create(config(), Vec::new(), durable).expect("create durable pipeline");
     let outcome = pipeline
         .run(reports.iter().copied(), None)
         .expect("durable ingest run");
-    let m = match outcome {
+    let summary = match outcome {
         DurableRun::Completed {
             summary,
             durability,
@@ -94,10 +106,11 @@ fn run(reports: &[IngestReport], fsync: bool, segment_bytes: u64) -> (MetricsSna
                 matches!(durability, Durability::Durable),
                 "fault-free bench run must not report a durability gap"
             );
-            summary.metrics
+            *summary
         }
         DurableRun::Killed => unreachable!("no kill point armed"),
     };
+    let m = &summary.metrics;
     assert!(
         m.durably_accounted(),
         "durable accounting violated: wal {} + gap {} + lost {} != offered {}",
@@ -108,7 +121,12 @@ fn run(reports: &[IngestReport], fsync: bool, segment_bytes: u64) -> (MetricsSna
     );
     let disk = wal_disk_usage(&dir).expect("measure WAL disk usage");
     std::fs::remove_dir_all(&dir).expect("remove bench WAL dir");
-    (m, disk)
+    (summary, disk)
+}
+
+/// The same stream through the plain in-memory pipeline.
+fn run_plain(reports: &[IngestReport]) -> IngestSummary {
+    IngestPipeline::new(config(), Vec::new()).run(reports.iter().copied())
 }
 
 fn bench_durable(c: &mut Criterion) {
@@ -124,15 +142,16 @@ fn bench_durable(c: &mut Criterion) {
     group.finish();
 }
 
+/// Wall time of one call, in milliseconds.
+fn time_ms<F: FnOnce()>(f: F) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64() * 1e3
+}
+
 /// Median wall time of `samples` runs, in milliseconds.
 fn median_ms<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
+    let mut times: Vec<f64> = (0..samples).map(|_| time_ms(&mut f)).collect();
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
     times[times.len() / 2]
 }
@@ -147,16 +166,18 @@ fn write_baseline() {
         for segment_bytes in SEGMENT_BYTES {
             // One instrumented run for the latency distribution and WAL
             // footprint, then timed repeats for the wall-clock median.
-            let (m, disk) = run(&reports, fsync, segment_bytes);
+            let (summary, disk) = run(&reports, fsync, segment_bytes);
+            let m = &summary.metrics;
             let wal = &m.per_shard[0].wal_append.latency_ns;
             let t = median_ms(3, || {
                 black_box(run(black_box(&reports), fsync, segment_bytes));
             });
             let rps = offered as f64 / (t / 1e3);
-            // The group-commit flush lands on ~1 append in 1366, past the
-            // 99th percentile — p99.9 and max are what expose the fsync tax.
+            // One sample per logged batch; about three batches in four
+            // carry a group-commit flush, so p50 already includes it and
+            // the upper quantiles expose the fsync tax.
             entries.push(format!(
-                "    {{\n      \"fsync\": {fsync},\n      \"segment_bytes\": {segment_bytes},\n      \"median_ms\": {t:.3},\n      \"reports_per_sec\": {rps:.0},\n      \"append_p50_ns_le\": {},\n      \"append_p99_ns_le\": {},\n      \"append_p999_ns_le\": {},\n      \"append_max_ns_le\": {},\n      \"appends\": {},\n      \"segments_created\": {},\n      \"segments_compacted\": {},\n      \"snapshots_written\": {},\n      \"wal_disk_bytes\": {disk}\n    }}",
+                "    {{\n      \"fsync\": {fsync},\n      \"segment_bytes\": {segment_bytes},\n      \"median_ms\": {t:.3},\n      \"reports_per_sec\": {rps:.0},\n      \"batch_append_p50_ns_le\": {},\n      \"batch_append_p99_ns_le\": {},\n      \"batch_append_p999_ns_le\": {},\n      \"batch_append_max_ns_le\": {},\n      \"batches\": {},\n      \"segments_created\": {},\n      \"segments_compacted\": {},\n      \"snapshots_written\": {},\n      \"wal_disk_bytes\": {disk}\n    }}",
                 wal.quantile_upper(0.5),
                 wal.quantile_upper(0.99),
                 wal.quantile_upper(0.999),
@@ -186,12 +207,17 @@ fn write_baseline() {
 }
 
 /// CI smoke: a small fleet, buffered WAL at the default rotation size,
-/// durable conservation asserted, no baseline rewrite.
+/// durable conservation and plain-pipeline equality asserted, and the
+/// in-run durability-tax ratio written to the scratch record the perf gate
+/// reads. No baseline rewrite.
 fn smoke() {
-    let reports = fleet_reports(8);
+    const SMOKE_GATEWAYS: usize = 8;
+    const SAMPLES: usize = 5;
+    let reports = fleet_reports(SMOKE_GATEWAYS);
     let start = Instant::now();
-    let (m, disk) = run(&reports, false, 1024 * 1024);
+    let (summary, disk) = run(&reports, false, 1024 * 1024);
     let elapsed = start.elapsed();
+    let m = &summary.metrics;
     println!(
         "durable smoke: {} reports logged across {} segments ({} compacted), \
          {} snapshots, {disk} WAL bytes left in {elapsed:.2?}",
@@ -200,6 +226,38 @@ fn smoke() {
     assert!(m.offered > 0);
     assert_eq!(m.wal_records, m.offered);
     assert!(m.wal_segments_created > 0);
+    let plain = run_plain(&reports);
+    assert!(
+        plain.gateways == summary.gateways && plain.support == summary.support,
+        "durable and plain ingest must agree"
+    );
+
+    // The fastest of each is the least-disturbed estimate of the code's own
+    // cost; alternating the two lets a load swing on a shared machine hit
+    // both sides of the ratio alike.
+    let (mut plain_ms, mut durable_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..SAMPLES {
+        plain_ms = plain_ms.min(time_ms(|| {
+            black_box(run_plain(black_box(&reports)));
+        }));
+        durable_ms = durable_ms.min(time_ms(|| {
+            black_box(run(black_box(&reports), false, 1024 * 1024));
+        }));
+    }
+    let ratio = plain_ms / durable_ms;
+    println!(
+        "durability tax: plain {plain_ms:.2} ms vs durable {durable_ms:.2} ms \
+         (min of {SAMPLES}), plain_over_durable {ratio:.3}"
+    );
+    let json = format!(
+        "{{\n\"bench\": \"durable_smoke\",\n\"gateways\": {SMOKE_GATEWAYS},\n\"weeks\": 1,\n\"offered_reports\": {},\n\"samples\": {SAMPLES},\n\"plain_min_ms\": {plain_ms:.3},\n\"durable_min_ms\": {durable_ms:.3},\n\"plain_over_durable\": {ratio:.3}\n}}\n",
+        m.offered,
+    );
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/perf");
+    std::fs::create_dir_all(dir).expect("create scratch record dir");
+    let path = format!("{dir}/durable_smoke.json");
+    std::fs::write(&path, json).expect("write durable smoke record");
+    println!("scratch record written to {path}");
 }
 
 criterion_group!(benches, bench_durable);

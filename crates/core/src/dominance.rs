@@ -70,9 +70,15 @@ pub fn dominant_devices(
 /// Ranks `(device, similarity)` hits into [`DominantDevice`]s by descending
 /// similarity — the ranking half of Definition 4, shared by the batch path
 /// above and the streaming-ingest dominance tracker (which computes its
-/// similarities incrementally with `OnlinePearson` instead).
+/// similarities incrementally with `OnlinePearson` instead). Equal
+/// similarities rank by ascending device index, so the ranking does not
+/// depend on the order the hits arrive in.
 pub fn rank_dominants(mut hits: Vec<(usize, f64)>) -> Vec<DominantDevice> {
-    hits.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite similarity"));
+    hits.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .expect("finite similarity")
+            .then(a.0.cmp(&b.0))
+    });
     hits.into_iter()
         .enumerate()
         .map(|(rank, (device, similarity))| DominantDevice {
@@ -252,6 +258,25 @@ mod tests {
             ranked.iter().map(|d| d.rank).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
+    }
+
+    #[test]
+    fn rank_dominants_breaks_ties_by_device_index() {
+        let hits = [(5, 0.8), (2, 0.9), (7, 0.8), (0, 0.8), (4, 0.9), (9, 0.7)];
+        let expected = rank_dominants(hits.to_vec());
+        assert_eq!(
+            expected.iter().map(|d| d.device).collect::<Vec<_>>(),
+            vec![2, 4, 0, 5, 7, 9]
+        );
+        // Every rotation and the reversal of every rotation: each tie is
+        // offered in both orders.
+        for shift in 0..hits.len() {
+            let mut permuted = hits.to_vec();
+            permuted.rotate_left(shift);
+            assert_eq!(rank_dominants(permuted.clone()), expected);
+            permuted.reverse();
+            assert_eq!(rank_dominants(permuted), expected);
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@
 //! earlier point", never to corruption. [`FaultyFs::machine_crash`]
 //! simulates exactly that power cut (including an fsync that lied).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -97,32 +97,64 @@ use lock::{Acquired, LockGuard};
 // Checksums and digests (no external deps: CRC32/IEEE and FNV-1a by hand)
 // ---------------------------------------------------------------------------
 
-/// CRC32 (IEEE 802.3, reflected, init/final xor `0xFFFF_FFFF`) — the
-/// polynomial every torn-tail detector speaks.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
+/// Slicing-by-8 tables for [`crc32`]: `CRC_TABLES[0]` is the classic
+/// bytewise table of the reflected IEEE polynomial, and `CRC_TABLES[k][i]`
+/// is the CRC of byte `i` followed by `k` zero bytes, so one lookup per
+/// byte folds eight input bytes per step.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[i] = c;
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        t
+        k += 1;
     }
-    const TABLE: [u32; 256] = table();
+    t
+}
+
+/// CRC32 (IEEE 802.3, reflected, init/final xor `0xFFFF_FFFF`) — the
+/// polynomial every torn-tail detector speaks. Slicing-by-8: eight bytes
+/// per step through [`CRC_TABLES`], bytewise over the tail; the bits equal
+/// the one-table bytewise CRC.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -332,11 +364,8 @@ fn encode_lane(buf: &mut Vec<u8>, lane: &GatewayLane) {
             put_f64(buf, bytes);
         }
     }
-    let mut device_ids: Vec<u32> = lane.devices.keys().copied().collect();
-    device_ids.sort_unstable();
-    put_u64(buf, device_ids.len() as u64);
-    for id in device_ids {
-        let d = &lane.devices[&id];
+    put_u64(buf, lane.devices.len() as u64);
+    for (&id, d) in &lane.devices {
         put_u32(buf, id);
         encode_baseline(buf, d.last);
         encode_baseline(buf, d.suspect);
@@ -439,11 +468,9 @@ pub(crate) fn encode_state(state: &ShardState) -> Vec<u8> {
     put_u64(&mut buf, state.last_seq);
     put_u64(&mut buf, state.processed);
     encode_counts(&mut buf, &state.counts);
-    let mut gateways: Vec<u64> = state.lanes.keys().copied().collect();
-    gateways.sort_unstable();
-    put_u64(&mut buf, gateways.len() as u64);
-    for gw in gateways {
-        encode_lane(&mut buf, &state.lanes[&gw]);
+    put_u64(&mut buf, state.lanes.len() as u64);
+    for lane in state.lanes.values() {
+        encode_lane(&mut buf, lane);
     }
     buf
 }
@@ -454,7 +481,7 @@ fn decode_state(bytes: &[u8], config: &IngestConfig, n_templates: usize) -> io::
     let processed = cur.u64()?;
     let counts = decode_counts(&mut cur)?;
     let n_lanes = cur.len(64)?;
-    let mut lanes = HashMap::with_capacity(n_lanes);
+    let mut lanes = BTreeMap::new();
     for _ in 0..n_lanes {
         let lane = decode_lane(&mut cur, config, n_templates)?;
         lanes.insert(lane.gateway, lane);
@@ -940,10 +967,20 @@ impl ShardDurability {
         self.sealed.clear();
     }
 
-    /// Appends one consumed report (buffered; flushed on threshold, before
-    /// snapshots, on rotation, and at stream end). Infallible: exhausted
+    /// Appends a batch of reports about to be consumed, in order. Each
+    /// record is buffered exactly as a one-at-a-time append would buffer
+    /// it, so flush, rotation and every file operation land on the same
+    /// record boundaries whatever the batch size. Infallible: exhausted
     /// retries degrade the shard instead of erroring.
-    pub(crate) fn append(&mut self, seq: u64, report: &IngestReport) {
+    pub(crate) fn append(&mut self, batch: &[(u64, IngestReport)]) {
+        for (seq, report) in batch {
+            self.append_one(*seq, report);
+        }
+    }
+
+    /// Appends one report (buffered; flushed on threshold, before
+    /// snapshots, on rotation, and at stream end).
+    fn append_one(&mut self, seq: u64, report: &IngestReport) {
         self.total_records += 1;
         if self.degraded {
             self.note_gap(1);
@@ -988,7 +1025,7 @@ impl ShardDurability {
     fn open_segment(&mut self, first_seq: u64) {
         let path = seg_path(&self.dir, self.shard, first_seq);
         // The current record was already counted into total_records by
-        // append(); everything before it belongs to earlier segments.
+        // append_one(); everything before it belongs to earlier segments.
         let header = encode_seg_header(
             self.shard,
             self.fingerprint,
@@ -1849,6 +1886,95 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Bit-at-a-time CRC32/IEEE: the reference the sliced tables must match.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    /// Every length from empty through several 8-byte strides plus each
+    /// possible tail, over seeded bytes: the sliced CRC equals the
+    /// reference, so nothing on disk changes.
+    #[test]
+    fn crc32_matches_bitwise_reference_at_every_length() {
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..300)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        for len in 0..=bytes.len() {
+            for start in [0, 3] {
+                let s = &bytes[start.min(len)..len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "len {} at {start}", s.len());
+            }
+        }
+    }
+
+    /// The on-disk format, pinned: a fixed two-shard stream with segment
+    /// rotation, snapshots and compaction leaves segment and snapshot bytes
+    /// whose FNV-1a digest (file names included) is recorded here, as is
+    /// the run's state digest. A change to the record checksum, the record
+    /// layout or the canonical state encoding moves one of them.
+    #[test]
+    fn wal_and_snapshot_bytes_are_pinned() {
+        let dir = tmp_dir("golden");
+        let dcfg = DurableConfig {
+            snapshot_every_reports: 3_000,
+            segment_bytes: 16 * 1024,
+            ..DurableConfig::new(dir.clone())
+        };
+        let mut p = DurablePipeline::create(config(2), Vec::new(), dcfg).unwrap();
+        let state_digest = match p.run(stream(), None).unwrap() {
+            DurableRun::Completed {
+                state_digest,
+                durability,
+                ..
+            } => {
+                assert_eq!(durability, Durability::Durable);
+                state_digest
+            }
+            DurableRun::Killed => panic!("no kill point was armed"),
+        };
+        let m = p.metrics().snapshot();
+        drop(p);
+        assert!(m.snapshots_written >= 4 && m.wal_segments_compacted > 0);
+
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name != LOCK_FILE)
+            .collect();
+        names.sort_unstable();
+        assert!(names.iter().any(|n| n.starts_with("snap-")));
+        assert!(names.iter().any(|n| n.starts_with("wal-")));
+        let mut bytes_digest = FNV_OFFSET;
+        for name in &names {
+            bytes_digest = fnv1a64_bytes(bytes_digest, name.as_bytes());
+            bytes_digest = fnv1a64_bytes(bytes_digest, &std::fs::read(dir.join(name)).unwrap());
+        }
+        assert_eq!(
+            (bytes_digest, state_digest),
+            (0xbe42_a096_5962_6bae, 0x73cd_2584_6a5b_fa83),
+            "on-disk bytes or state encoding changed"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn wal_payload_roundtrip() {
         let r = report(42, 7, 1234, 99_999);
@@ -1886,6 +2012,44 @@ mod tests {
         assert_eq!(state_digest(&back), state_digest(&state));
         assert_eq!(back.counts, state.counts);
         assert_eq!(back.last_seq, state.last_seq);
+    }
+
+    /// The WAL append stage times whole batches: at quiescence each shard's
+    /// stage is balanced with one latency sample per batch that logged
+    /// records, the log covers every offered report, and a plain run opens
+    /// no append span at all.
+    #[test]
+    fn wal_append_spans_one_batch_each() {
+        let dir = tmp_dir("batch-span");
+        let cfg = config(2);
+        let stream = stream();
+        let mut p =
+            DurablePipeline::create(cfg.clone(), Vec::new(), DurableConfig::new(dir.clone()))
+                .unwrap();
+        let mut routed = [0u64; 2];
+        for r in &stream {
+            routed[p.pipeline.shard_of(r.gateway)] += 1;
+        }
+        let end = p.run(stream.iter().copied(), None).unwrap();
+        assert_eq!(end.durability(), Some(Durability::Durable));
+        let m = p.metrics().snapshot();
+        assert_eq!(m.wal_records, m.offered);
+        assert_eq!(m.offered, stream.len() as u64);
+        for (shard, s) in m.per_shard.iter().enumerate() {
+            let batches = routed[shard].div_ceil(cfg.batch_reports as u64);
+            assert!(batches > 1, "shard {shard} must see several batches");
+            assert!(s.wal_append.quiescent(), "shard {shard}");
+            assert_eq!(s.wal_append.entered, batches, "shard {shard}");
+            assert_eq!(s.wal_append.latency_ns.total(), batches, "shard {shard}");
+            assert_eq!(s.batch_stage.entered, batches, "shard {shard}");
+        }
+
+        let plain = IngestPipeline::new(cfg, Vec::new()).run(stream);
+        for s in &plain.metrics.per_shard {
+            assert_eq!(s.wal_append.entered, 0);
+            assert_eq!(s.wal_append.latency_ns.total(), 0);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Recovery with snapshots equals a pure fold over the logged records:

@@ -56,7 +56,7 @@
 //! gap ([`MetricsSnapshot::durably_accounted`]) — see its docs for the
 //! recovery invariants.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -172,7 +172,8 @@ struct ShardMetrics {
     /// Batch-processing stage: entered/exited/in-flight batches plus a
     /// log-bucketed latency histogram (one span per popped batch).
     batch_stage: Stage,
-    /// WAL append stage (durable runs): one span per appended record.
+    /// WAL append stage (durable runs): one span per popped batch, logged
+    /// whole before any of it is consumed.
     wal_append: Stage,
     /// Snapshot-write stage (durable runs): one span per snapshot file.
     snapshot_write: Stage,
@@ -411,7 +412,8 @@ pub struct ShardSnapshot {
     /// `batch_stage.entered == batch_stage.exited` and nothing is in flight
     /// ([`StageSnapshot::quiescent`]).
     pub batch_stage: StageSnapshot,
-    /// WAL append stage (all zeros for non-durable runs).
+    /// WAL append stage, one span (and latency sample) per logged batch
+    /// (all zeros for non-durable runs).
     pub wal_append: StageSnapshot,
     /// Snapshot-write stage (all zeros for non-durable runs).
     pub snapshot_write: StageSnapshot,
@@ -880,7 +882,9 @@ struct PendingMinute {
 /// All streaming state of one gateway, owned exclusively by one shard.
 pub(crate) struct GatewayLane {
     gateway: u64,
-    devices: HashMap<u32, DeviceState>,
+    /// Ordered by device id: O(log n) lookups on hostile ids without a
+    /// hasher, and snapshots and rankings iterate in a fixed order.
+    devices: BTreeMap<u32, DeviceState>,
     /// Sparse, minute-sorted ring of not-yet-finalized minutes.
     pending: VecDeque<PendingMinute>,
     /// First minute that may still accept contributions.
@@ -900,7 +904,7 @@ impl GatewayLane {
     fn new(gateway: u64, config: &IngestConfig, n_templates: usize) -> GatewayLane {
         GatewayLane {
             gateway,
-            devices: HashMap::new(),
+            devices: BTreeMap::new(),
             pending: VecDeque::new(),
             watermark: 0,
             max_seen: 0,
@@ -1124,7 +1128,8 @@ impl GatewayLane {
 /// snapshot captures and what WAL replay rebuilds — the worker loop owns
 /// one and nothing else mutates between reports.
 pub(crate) struct ShardState {
-    pub(crate) lanes: HashMap<u64, GatewayLane>,
+    /// Ordered by gateway id, like [`GatewayLane::devices`].
+    pub(crate) lanes: BTreeMap<u64, GatewayLane>,
     pub(crate) counts: ShardCounts,
     /// Global sequence number of the last report this shard consumed.
     pub(crate) last_seq: u64,
@@ -1136,7 +1141,7 @@ pub(crate) struct ShardState {
 impl ShardState {
     pub(crate) fn new() -> ShardState {
         ShardState {
-            lanes: HashMap::new(),
+            lanes: BTreeMap::new(),
             counts: ShardCounts::default(),
             last_seq: 0,
             processed: 0,
@@ -1500,17 +1505,18 @@ impl IngestPipeline {
             gauges
                 .processed
                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            if let Some(d) = durability.as_mut() {
+                // Write-ahead: the whole batch is logged before any of it
+                // is consumed, so recovery can always replay exactly what
+                // was consumed. One span per batch keeps the clock reads
+                // off the per-report path. Infallible: an exhausted retry
+                // budget degrades the shard (a counted gap) instead of
+                // killing the worker.
+                let _wal_span = gauges.wal_append.enter();
+                d.append(&batch);
+            }
             let before = state.counts;
             for (seq, report) in &batch {
-                if let Some(d) = durability.as_mut() {
-                    // Write-ahead: the report is logged before any state
-                    // transition, so recovery can always replay exactly
-                    // what was consumed. Infallible: an exhausted retry
-                    // budget degrades the shard (a counted gap) instead of
-                    // killing the worker.
-                    let _wal_span = gauges.wal_append.enter();
-                    d.append(*seq, report);
-                }
                 state.consume(*seq, report, &self.config, &self.templates);
             }
             self.metrics.apply(&state.counts.minus(&before));

@@ -2,7 +2,8 @@
 # CI gate: formatting, lints (warnings denied), build, the full test
 # suite, bench smokes (bit-identity + observability conservation), and the
 # unified perf-budget gate (scripts/perf_gate.py) over every committed
-# bench baseline. Run from anywhere inside the repository.
+# bench baseline and the in-run durability-tax ratio the durable smoke
+# measures. Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,7 +25,10 @@ echo "== ingest bench (smoke) =="
 cargo bench -p wtts-bench --bench ingest -- --smoke
 
 echo "== durable bench (smoke) =="
+# Times plain and durable ingest on the same stream in this process and
+# writes plain_over_durable to target/perf/durable_smoke.json.
 cargo bench -p wtts-bench --bench durable -- --smoke
+python3 scripts/perf_gate.py --only durable_smoke
 
 metrics_json="$(mktemp /tmp/wtts_ci_metrics.XXXXXX.json)"
 sweep_metrics_json="$(mktemp /tmp/wtts_ci_sweep_metrics.XXXXXX.json)"
@@ -234,6 +238,12 @@ assert recovered["wal_records"] == recovered["offered"], "WAL must cover the str
 assert recovered["recoveries"] == 1, recovered["recoveries"]
 assert recovered["wal_replayed"] > 0, "recovery replayed nothing"
 assert clean["recoveries"] == 0 and clean["wal_replayed"] == 0
+assert clean["wal_records"] == clean["offered"], "WAL must cover the stream"
+# The WAL append stage times whole batches: one latency sample per batch.
+for shard in clean["per_shard"]:
+    wal = shard["wal_append"]
+    assert wal["in_flight"] == 0 and wal["entered"] == wal["exited"], shard
+    assert wal["latency_ns"]["count"] == wal["entered"] == shard["batches_entered"], shard
 print("crash recovery ok:", recovered["wal_replayed"], "reports replayed,",
       recovered["offered"], "offered, books identical to the uninterrupted run")
 PY

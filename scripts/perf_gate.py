@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Unified performance-budget gate over committed bench baselines.
+"""Unified performance-budget gate over bench records.
 
 Every optimized subsystem records its measured baseline in a committed
 ``results/BENCH_*.json``; this script checks those records against the
 floors in ``results/PERF_BUDGET.json`` so CI fails loudly when a change
 ships a slower baseline (or drops the bit-identity bit) instead of three
-copies of the same inline assert drifting apart in ``ci.sh``.
+copies of the same inline assert drifting apart in ``ci.sh``. Entries whose
+``file`` lies under ``target/perf/`` gate scratch records that a bench
+smoke writes on every run (an in-run ratio such as the durable smoke's
+``plain_over_durable``), so run that smoke before gating them.
 
 Usage:
     perf_gate.py [--budget results/PERF_BUDGET.json] [--only ENTRY]
@@ -86,7 +89,8 @@ def resolve_one(record, dotted):
 def check_entry(name, spec, failures):
     path = spec["file"]
     if not os.path.exists(path):
-        failures.append(f"{name}: bench record {path} is missing")
+        hint = " (run its bench smoke first)" if path.startswith("target/") else ""
+        failures.append(f"{name}: bench record {path} is missing{hint}")
         return
     record = load_json(path)
 
