@@ -19,6 +19,13 @@
 //!   only at weak records) against the classic two-divisions-per-step scan
 //!   (`ks_sup_scan_reference`, which is that old loop, kept in the crate as
 //!   the large-`n` fallback).
+//! * **rank_gather_wide** / **kendall_inversions_wide** — the same two
+//!   baselines on the shape the pipeline actually ranks: raw bytes/min
+//!   device series, integral with a span far above `n`, which no counting
+//!   lane takes. `rank_series` ranks them by stable radix sort
+//!   (`rank_radix`), and the profiled Kendall count runs on the partner's
+//!   integer rank keys (`count_inversions_keyed`, a Fenwick count over
+//!   `[1, m]`) instead of its raw values.
 //!
 //! Every kernel is asserted bit-identical to its frozen baseline on the
 //! bench inputs **before** any timing. Workloads run at the paper's two
@@ -30,7 +37,11 @@
 //! `scripts/perf_gate.py` against `results/PERF_BUDGET.json`).
 //!
 //! `--smoke` asserts bit-identity on both windows without touching the
-//! committed baseline (used by `scripts/ci.sh`).
+//! committed baseline, then times the two wide-span lanes against the
+//! comparison paths they bypass — in this process, fastest of several
+//! alternating runs — and writes the ratios to the scratch record
+//! `target/perf/kernels_smoke.json`, which `scripts/perf_gate.py --only
+//! kernels_smoke` gates (both used by `scripts/ci.sh`).
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
@@ -38,10 +49,11 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use wtts_stats::correlation::KendallTies;
 use wtts_stats::kernels::{
-    count_inversions, dot_lags_batch, filter_order_into, ks_sup_scan, ks_sup_scan_reference,
-    order_stats_gather, ranks_from_sorted_pairs, stable_value_sort, sxy_fold, sxy_fold2,
+    count_inversions, count_inversions_keyed, dot_lags_batch, filter_order_into, gather_values,
+    ks_sup_scan, ks_sup_scan_reference, mean_and_sxx, order_stats_gather, ranks_from_sorted_pairs,
+    stable_value_sort, sxy_fold, sxy_fold2,
 };
-use wtts_stats::rank_series;
+use wtts_stats::{cor_tests_profiled, rank_series, CorProfile, CorScratch};
 
 /// The paper's two natural window lengths: one day and one week of minutes.
 const WINDOWS: [usize; 2] = [1440, 10080];
@@ -230,6 +242,23 @@ fn traffic_window(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// One window of raw bytes/min device traffic: a fifth of the minutes idle
+/// at zero, the rest log-uniform up to ~3·10⁸ bytes. Integral, with a span
+/// far above `n` — no counting lane takes it — and ties among idle and
+/// small minutes, like the device series Definition 4 ranks.
+fn wide_window(n: usize, seed: u64) -> Vec<f64> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            if rng.gen_bool(0.2) {
+                0.0
+            } else {
+                3e8f64.powf(rng.gen::<f64>()).floor()
+            }
+        })
+        .collect()
+}
+
 /// Deviations (value − mean) of one traffic window, the CCF fold's input.
 fn deviations(n: usize, seed: u64) -> Vec<f64> {
     let vals = traffic_window(n, seed);
@@ -285,6 +314,21 @@ fn kendall_y(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// [`kendall_y`] at raw-byte scale: the same noisy monotone sequence with a
+/// span far above `n`, so the value-domain Fenwick lane declines it.
+fn kendall_y_wide(n: usize, seed: u64) -> Vec<f64> {
+    kendall_y(n, seed)
+        .iter()
+        .map(|v| (v * 12_345.0 + 7.0).floor())
+        .collect()
+}
+
+/// The partner-side integer rank keys the profiled Kendall count runs on:
+/// `⌊mid-rank⌋` of each value, in the sequence's own order.
+fn rank_keys(y: &[f64]) -> Vec<u32> {
+    rank_series(y).ranks.iter().map(|&r| r as u32).collect()
+}
+
 /// Two ascending-sorted samples from shifted traffic distributions (the KS
 /// scan's input; unequal lengths exercise both cursors).
 fn ks_samples(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
@@ -336,6 +380,7 @@ fn assert_bit_identical(n: usize) {
     for vals in [
         vals.clone(),
         vals.iter().map(|v| v + 0.25).collect::<Vec<f64>>(),
+        wide_window(n, 37),
     ] {
         let (order_old, ranks_rs_old, ties_old) = rank_series_baseline(&vals);
         let ranked = rank_series(&vals);
@@ -401,6 +446,12 @@ fn assert_bit_identical(n: usize) {
             assert_eq!(x.to_bits(), y.to_bits(), "sorted output, n={n}");
         }
     }
+    // The wide sequence counted on its rank keys.
+    let y = kendall_y_wide(n, 53);
+    let mut buf_old = y.clone();
+    let inv_old = merge_count_baseline(&mut buf_old, &mut vec![0.0; n]);
+    let inv_keyed = count_inversions_keyed(&rank_keys(&y), n + 1, &mut Vec::new());
+    assert_eq!(inv_keyed, inv_old, "keyed inversion count, n={n}");
 
     // Kernel D: KS sup-scan.
     let (ka, kb) = ks_samples(n, 71);
@@ -415,15 +466,16 @@ fn assert_bit_identical(n: usize) {
 // Timing
 // ---------------------------------------------------------------------------
 
-/// Median wall time of `samples` runs, in milliseconds.
-fn median_ms<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
+/// Wall time of `reps` back-to-back calls, in milliseconds.
+fn time_reps<F: FnMut()>(f: &mut F, reps: usize) -> f64 {
+    let start = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
     times[times.len() / 2]
 }
@@ -450,24 +502,33 @@ impl KernelTimes {
     }
 }
 
+/// `samples` timings of each of two closures, taken alternately so a load
+/// swing on a shared machine hits both sides of a ratio alike: each sample
+/// is the wall time of `reps.0` (`reps.1`) back-to-back calls, in
+/// milliseconds. Callers reduce each side to a median or a minimum.
+fn alternating_samples<A: FnMut(), B: FnMut()>(
+    samples: usize,
+    reps: (usize, usize),
+    mut a: A,
+    mut b: B,
+) -> (Vec<f64>, Vec<f64>) {
+    let (mut ta, mut tb) = (Vec::with_capacity(samples), Vec::with_capacity(samples));
+    for _ in 0..samples {
+        ta.push(time_reps(&mut a, reps.0));
+        tb.push(time_reps(&mut b, reps.1));
+    }
+    (ta, tb)
+}
+
 /// Times one kernel/baseline closure pair over a shared calibrated
 /// repetition count (calibrated on the baseline, so both paths do the same
-/// number of calls per sample).
-fn time_pair<K: FnMut(), B: FnMut()>(mut kernel: K, mut baseline: B) -> KernelTimes {
+/// number of calls per sample): median of seven alternating samples each.
+fn time_pair<K: FnMut(), B: FnMut()>(kernel: K, mut baseline: B) -> KernelTimes {
     let reps = calibrate_reps(&mut baseline, 20.0);
-    let baseline_ms = median_ms(5, || {
-        for _ in 0..reps {
-            baseline();
-        }
-    });
-    let kernel_ms = median_ms(5, || {
-        for _ in 0..reps {
-            kernel();
-        }
-    });
+    let (base, kern) = alternating_samples(7, (reps, reps), baseline, kernel);
     KernelTimes {
-        baseline_ms,
-        kernel_ms,
+        baseline_ms: median(base),
+        kernel_ms: median(kern),
     }
 }
 
@@ -518,6 +579,37 @@ fn time_kendall_inversions(n: usize) -> KernelTimes {
     )
 }
 
+fn time_rank_gather_wide(n: usize) -> KernelTimes {
+    let vals = wide_window(n, 37);
+    time_pair(
+        || {
+            black_box(rank_series(black_box(&vals)));
+        },
+        || {
+            black_box(rank_series_baseline(black_box(&vals)));
+        },
+    )
+}
+
+/// The partner's rank keys are per-series work the profile caches, so only
+/// the per-pair count is timed on either side.
+fn time_kendall_inversions_wide(n: usize) -> KernelTimes {
+    let y = kendall_y_wide(n, 53);
+    let keys = rank_keys(&y);
+    let mut tree = Vec::new();
+    let mut buf_old = vec![0.0; n];
+    let mut tmp_old = vec![0.0; n];
+    time_pair(
+        || {
+            black_box(count_inversions_keyed(black_box(&keys), n + 1, &mut tree));
+        },
+        || {
+            buf_old.copy_from_slice(&y);
+            black_box(merge_count_baseline(black_box(&mut buf_old), &mut tmp_old));
+        },
+    )
+}
+
 fn time_ks_sup_scan(n: usize) -> KernelTimes {
     let (a, b) = ks_samples(n, 71);
     time_pair(
@@ -531,11 +623,13 @@ fn time_ks_sup_scan(n: usize) -> KernelTimes {
 }
 
 #[allow(clippy::type_complexity)]
-const KERNELS: [(&str, fn(usize) -> KernelTimes); 4] = [
+const KERNELS: [(&str, fn(usize) -> KernelTimes); 6] = [
     ("pearson_moments", time_pearson_moments),
     ("rank_gather", time_rank_gather),
     ("kendall_inversions", time_kendall_inversions),
     ("ks_sup_scan", time_ks_sup_scan),
+    ("rank_gather_wide", time_rank_gather_wide),
+    ("kendall_inversions_wide", time_kendall_inversions_wide),
 ];
 
 // ---------------------------------------------------------------------------
@@ -576,6 +670,19 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("ks_sup_scan", n), &n, |bch, _| {
         bch.iter(|| ks_sup_scan(black_box(&ka), black_box(&kb)))
     });
+
+    let wide = wide_window(n, 37);
+    group.bench_with_input(BenchmarkId::new("rank_gather_wide", n), &n, |bch, _| {
+        bch.iter(|| rank_series(black_box(&wide)))
+    });
+
+    let keys = rank_keys(&kendall_y_wide(n, 53));
+    let mut tree = Vec::new();
+    group.bench_with_input(
+        BenchmarkId::new("kendall_inversions_wide", n),
+        &n,
+        |bch, _| bch.iter(|| count_inversions_keyed(black_box(&keys), n + 1, &mut tree)),
+    );
     group.finish();
 }
 
@@ -631,18 +738,211 @@ fn write_baseline() {
     }
 }
 
-/// CI smoke: bit-identity of all four kernels against the frozen baselines
-/// at both window lengths, no timing, no baseline refresh.
+/// The comparison rank path `rank_series` falls back to: stable
+/// `(value, index)` sort plus the sequential tie walk.
+fn rank_by_comparison(xs: &[f64]) -> (Vec<u32>, Vec<f64>, Vec<usize>) {
+    let mut kv = Vec::new();
+    stable_value_sort(xs, &mut kv);
+    let (mut ranks, mut ties) = (Vec::new(), Vec::new());
+    ranks_from_sorted_pairs(&kv, &mut ranks, &mut ties);
+    (kv.iter().map(|p| p.1).collect(), ranks, ties)
+}
+
+/// Kendall's y-refinement over raw `f64` values, as the profiled path ran
+/// it before rank keys: stable sort inside each x-tie run, joint ties
+/// counted from the equal-value runs.
+fn refine_tie_runs_f64(y: &mut [f64], tie_runs: &[(u32, u32)]) -> u64 {
+    let mut n3 = 0u64;
+    for &(start, len) in tie_runs {
+        let seg = &mut y[start as usize..(start + len) as usize];
+        seg.sort_by(|p, q| p.partial_cmp(q).expect("finite values compare"));
+        let mut i = 0;
+        while i < seg.len() {
+            let mut j = i + 1;
+            while j < seg.len() && seg[j] == seg[i] {
+                j += 1;
+            }
+            let g = (j - i) as u64;
+            n3 += g * (g - 1) / 2;
+            i = j;
+        }
+    }
+    n3
+}
+
+/// One side of [`F64KendallPair`]: values, mid-ranks and their means.
+struct PairSide {
+    vals: Vec<f64>,
+    ranks: Vec<f64>,
+    mean: f64,
+    rank_mean: f64,
+}
+
+impl PairSide {
+    fn new(vals: &[f64]) -> PairSide {
+        let ranks = rank_series(vals).ranks;
+        PairSide {
+            vals: vals.to_vec(),
+            mean: mean_and_sxx(vals).0,
+            rank_mean: mean_and_sxx(&ranks).0,
+            ranks,
+        }
+    }
+}
+
+/// The equal-mask pair work of `cor_tests_profiled` with Kendall counted
+/// on `f64` values: the fused Pearson/Spearman fold, then the partner's
+/// values gathered along x's order, refined inside x-tie runs and
+/// merge-counted (`count_inversions`, whose value-domain lane declines a
+/// wide span).
+struct F64KendallPair {
+    x_order: Vec<u32>,
+    x_runs: Vec<(u32, u32)>,
+    x: PairSide,
+    y: PairSide,
+}
+
+impl F64KendallPair {
+    fn new(xs: &[f64], ys: &[f64]) -> F64KendallPair {
+        let (x_order, _, _) = rank_by_comparison(xs);
+        let mut x_runs = Vec::new();
+        let mut i = 0;
+        while i < xs.len() {
+            let mut j = i + 1;
+            while j < xs.len() && xs[x_order[j] as usize] == xs[x_order[i] as usize] {
+                j += 1;
+            }
+            if j - i > 1 {
+                x_runs.push((i as u32, (j - i) as u32));
+            }
+            i = j;
+        }
+        F64KendallPair {
+            x_order,
+            x_runs,
+            x: PairSide::new(xs),
+            y: PairSide::new(ys),
+        }
+    }
+
+    /// `(sxy of values, sxy of ranks, joint ties, discordant pairs)`.
+    fn run(&self, ybuf: &mut Vec<f64>, tmp: &mut Vec<f64>) -> (f64, f64, u64, u64) {
+        let (x, y) = (&self.x, &self.y);
+        let (sv, sr) = sxy_fold2(
+            &x.vals,
+            &y.vals,
+            x.mean,
+            y.mean,
+            &x.ranks,
+            &y.ranks,
+            x.rank_mean,
+            y.rank_mean,
+        );
+        gather_values(&self.x_order, &y.vals, ybuf);
+        let n3 = refine_tie_runs_f64(ybuf, &self.x_runs);
+        (sv, sr, n3, count_inversions(ybuf, tmp))
+    }
+}
+
+/// Each side's fastest sample per call, in milliseconds: the
+/// least-disturbed estimate of its own cost.
+fn fastest_per_call(reps: (usize, usize), (ta, tb): (Vec<f64>, Vec<f64>)) -> (f64, f64) {
+    let fastest = |t: Vec<f64>| t.into_iter().fold(f64::INFINITY, f64::min);
+    (fastest(ta) / reps.0 as f64, fastest(tb) / reps.1 as f64)
+}
+
+/// CI smoke: bit-identity of every kernel against the frozen baselines at
+/// both window lengths, then the in-run ratios of the wide-span lanes on a
+/// four-week device-shaped pair, written to the scratch record the perf
+/// gate reads. No baseline refresh.
 fn smoke() {
+    const SAMPLES: usize = 7;
     let start = Instant::now();
     for &n in &WINDOWS {
         assert_bit_identical(n);
     }
     println!(
-        "kernels smoke: 4 kernels x {} windows bit-identical to frozen baselines in {:.2?}",
+        "kernels smoke: {} kernels x {} windows bit-identical to frozen baselines in {:.2?}",
+        KERNELS.len(),
         WINDOWS.len(),
         start.elapsed(),
     );
+
+    // A gateway-total-like x (busy, wide, few ties) against a device-like y
+    // (idle fifth, wide bursts) over four weeks of minutes: the shape of a
+    // Definition-4 pair on the paper's workload.
+    let n = 4 * WINDOWS[1];
+    let total = kendall_y_wide(n, 89);
+    let device = wide_window(n, 97);
+
+    let (order, ranks, ties) = rank_by_comparison(&device);
+    let ranked = rank_series(&device);
+    assert!(
+        ranked.order == order && ranked.ranks == ranks && ranked.ties == ties,
+        "rank_series must match the comparison path"
+    );
+    let mut comparison = || {
+        black_box(rank_by_comparison(black_box(&device)));
+    };
+    let mut series = || {
+        black_box(rank_series(black_box(&device)));
+    };
+    let reps = (
+        calibrate_reps(&mut comparison, 10.0),
+        calibrate_reps(&mut series, 10.0),
+    );
+    let (comparison_ms, radix_ms) =
+        fastest_per_call(reps, alternating_samples(SAMPLES, reps, comparison, series));
+
+    let f64_pair = F64KendallPair::new(&total, &device);
+    let (a, b) = (CorProfile::new(&total), CorProfile::new(&device));
+    let (mut ybuf, mut tmp) = (Vec::new(), Vec::new());
+    let mut scratch = CorScratch::new();
+    let (_, _, n3, discordant) = f64_pair.run(&mut ybuf, &mut tmp);
+    let (_, _, k) = cor_tests_profiled(&a, &b, &mut scratch);
+    assert_eq!(
+        k.value.to_bits(),
+        wtts_stats::kendall(&total, &device).value.to_bits(),
+        "profiled Kendall must match from-scratch"
+    );
+    assert!(
+        n3 > 0 && discordant > 0,
+        "the pair must exercise both counts"
+    );
+    let mut f64_count = || {
+        black_box(f64_pair.run(&mut ybuf, &mut tmp));
+    };
+    let mut profiled = || {
+        black_box(cor_tests_profiled(
+            black_box(&a),
+            black_box(&b),
+            &mut scratch,
+        ));
+    };
+    let reps = (
+        calibrate_reps(&mut f64_count, 10.0),
+        calibrate_reps(&mut profiled, 10.0),
+    );
+    let (f64_ms, keyed_ms) = fastest_per_call(
+        reps,
+        alternating_samples(SAMPLES, reps, f64_count, profiled),
+    );
+
+    let rank_ratio = comparison_ms / radix_ms;
+    let kendall_ratio = f64_ms / keyed_ms;
+    println!(
+        "wide lanes @ {n}: rank comparison {comparison_ms:.3} ms vs rank_series \
+         {radix_ms:.3} ms ({rank_ratio:.2}x); f64 Kendall pair {f64_ms:.3} ms vs \
+         cor_tests_profiled {keyed_ms:.3} ms ({kendall_ratio:.2}x), min of {SAMPLES}"
+    );
+    let json = format!(
+        "{{\n\"bench\": \"kernels_smoke\",\n\"n\": {n},\n\"samples\": {SAMPLES},\n\"rank_comparison_min_ms\": {comparison_ms:.4},\n\"rank_series_min_ms\": {radix_ms:.4},\n\"rank_comparison_over_series\": {rank_ratio:.3},\n\"kendall_f64_pair_min_ms\": {f64_ms:.4},\n\"cor_tests_profiled_min_ms\": {keyed_ms:.4},\n\"kendall_f64_over_profiled\": {kendall_ratio:.3}\n}}\n"
+    );
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/perf");
+    std::fs::create_dir_all(dir).expect("create scratch record dir");
+    let path = format!("{dir}/kernels_smoke.json");
+    std::fs::write(&path, json).expect("write kernels smoke record");
+    println!("scratch record written to {path}");
 }
 
 criterion_group!(benches, bench_kernels);

@@ -42,7 +42,8 @@ pub struct DominantDevice {
 /// tier of [`wtts_stats::cor_tests_profiled`]: the device's cached ranks,
 /// order and tie runs apply verbatim and the total's cached order is only
 /// filtered down to the device's minutes, never sorted again — `O(n)` for
-/// the filter plus `O(m log m)` for Kendall's merge count per device.
+/// the filter plus `O(m log m)` for Kendall's count over the device's
+/// integer rank keys per device.
 ///
 /// Similarities are bit-identical to calling
 /// [`correlation_similarity`](crate::similarity::correlation_similarity)`(total, device)`

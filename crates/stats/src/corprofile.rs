@@ -7,11 +7,11 @@
 //! amount of *per-series* work per pair: compaction of finite values,
 //! means and second moments, mid-ranks, sort permutations and tie-group
 //! statistics. A [`CorProfile`] hoists all of that out of the pair loop,
-//! so a pair costs only the genuinely pairwise parts — one cross-moment
-//! pass for Pearson, one for Spearman, and a per-run refinement plus
-//! merge-count for Kendall.
+//! so a pair costs only the genuinely pairwise parts — one fused
+//! cross-moment pass for Pearson and Spearman, and a per-run refinement
+//! plus inversion count over integer rank keys for Kendall.
 //!
-//! **Exactness.** The profiled functions return results bit-identical to
+//! **Exactness.** [`cor_tests_profiled`] returns results bit-identical to
 //! [`pearson`](crate::pearson) / [`spearman`](crate::spearman) /
 //! [`kendall`](crate::kendall) on the same inputs. The fast path applies
 //! when two profiles share the same finite mask (in particular whenever
@@ -26,11 +26,12 @@
 //! them and the tie groups they delimit are exactly what sorting the
 //! gathered values would produce. Accumulation orders match the
 //! from-scratch loops term for term (see `pearson_from_moments` and
-//! `kendall_from_parts`), which is what makes bit-equality hold rather
-//! than mere approximation.
+//! `kendall_from_parts`), and Kendall's counts are the same integers on
+//! rank keys as on values (see [`kernels::gather_rank_keys`]), which is
+//! what makes bit-equality hold rather than mere approximation.
 
 use crate::correlation::{
-    kendall_from_parts, kendall_ties, pearson_complete, pearson_from_moments, pearson_from_sxy,
+    kendall_from_parts, kendall_ties, pearson_from_moments, pearson_from_sxy,
     CorrelationCoefficient, CorrelationTest, KendallTies,
 };
 use crate::kernels;
@@ -41,7 +42,7 @@ use crate::rank::rank_series;
 /// their moments, the stable sort permutation and tie statistics.
 ///
 /// Build once per series with [`CorProfile::new`], then hand pairs to
-/// [`pearson_profiled`], [`spearman_profiled`] and [`kendall_profiled`].
+/// [`cor_tests_profiled`].
 #[derive(Debug, Clone)]
 pub struct CorProfile {
     /// Original series length (including non-finite positions).
@@ -209,16 +210,16 @@ fn mean_and_sxx(vals: &[f64]) -> (f64, f64) {
     kernels::mean_and_sxx(vals)
 }
 
-/// Reusable per-thread buffers for the profiled coefficient functions: the
-/// merge-count scratch of the fast path plus the gathered values, filtered
-/// sort orders and rank vectors of the pairwise-deletion fallback. Reusing
-/// them across a batch removes every per-pair allocation.
+/// Reusable per-thread buffers for [`cor_tests_profiled`]: Kendall's rank
+/// keys and counting tree plus the gathered values, filtered sort orders
+/// and rank vectors of the pairwise-deletion fallback. Reusing them across
+/// a batch removes every per-pair allocation.
 #[derive(Debug, Default)]
 pub struct CorScratch {
-    /// Partner values in x-sorted order (Kendall's merge-count input).
-    y: Vec<f64>,
-    /// Merge-count auxiliary buffer.
-    tmp: Vec<f64>,
+    /// Partner rank keys in x-sorted order (Kendall's inversion input).
+    keys: Vec<u32>,
+    /// Fenwick prefix-count tree of the keyed inversion count.
+    tree: Vec<u32>,
     /// Gathered x values on the mask intersection.
     xs: Vec<f64>,
     /// Gathered y values on the mask intersection.
@@ -346,136 +347,6 @@ fn gather_superset(
     sum
 }
 
-/// Kendall's per-pair counting over values already arranged in x-sorted
-/// order: y-refinement inside x-tie runs, the joint-tie count, and the
-/// discordant (inversion) count — both delegated to the
-/// [`kernels`] layer ([`kernels::refine_tie_runs`],
-/// [`kernels::count_inversions`]), whose counts are exact integers.
-///
-/// The from-scratch path sorts each pair by `(x, y)` lexicographically;
-/// stably sorting `y` inside each x-tie run of an x-stable order reproduces
-/// that permutation, and joint ties can only occur inside an x-tie run,
-/// where they are the equal-y runs of the refined segment. An empty
-/// `tie_runs` — the `tie_free()` case — skips the refinement outright.
-fn kendall_refine(y: &mut [f64], tie_runs: &[(u32, u32)], tmp: &mut Vec<f64>) -> (u64, u64) {
-    let n3 = kernels::refine_tie_runs(y, tie_runs);
-    let discordant = kernels::count_inversions(y, tmp);
-    (n3, discordant)
-}
-
-/// [`pearson`](crate::pearson) over two profiles; bit-identical, with the
-/// means and second moments cached when the masks agree.
-pub fn pearson_profiled(
-    a: &CorProfile,
-    b: &CorProfile,
-    scratch: &mut CorScratch,
-) -> CorrelationTest {
-    if !a.same_mask(b) {
-        let s = &mut *scratch;
-        gather_pairwise(a, b, &mut s.xs, &mut s.ys, &mut s.a_pos, &mut s.b_pos);
-        return pearson_complete(&s.xs, &s.ys);
-    }
-    let n = a.vals.len();
-    if n < 3 || a.sxx == 0.0 || b.sxx == 0.0 {
-        return CorrelationTest::degenerate(CorrelationCoefficient::Pearson, n);
-    }
-    pearson_from_moments(
-        CorrelationCoefficient::Pearson,
-        &a.vals,
-        &b.vals,
-        a.mean,
-        b.mean,
-        a.sxx,
-        b.sxx,
-    )
-}
-
-/// [`spearman`](crate::spearman) over two profiles; bit-identical, with
-/// mid-ranks and their moments cached when the masks agree. On differing
-/// masks the mid-ranks of the intersection are walked from the profiles'
-/// filtered sort orders instead of re-sorting.
-pub fn spearman_profiled(
-    a: &CorProfile,
-    b: &CorProfile,
-    scratch: &mut CorScratch,
-) -> CorrelationTest {
-    if !a.same_mask(b) {
-        let s = &mut *scratch;
-        gather_pairwise(a, b, &mut s.xs, &mut s.ys, &mut s.a_pos, &mut s.b_pos);
-        let m = s.xs.len();
-        if m < 3 {
-            return CorrelationTest::degenerate(CorrelationCoefficient::Spearman, m);
-        }
-        kernels::filter_order_into(&a.order, &s.a_pos, &mut s.a_order);
-        kernels::order_stats_gather(&s.a_order, &s.xs, &mut s.sv, Some(&mut s.rx), None);
-        kernels::filter_order_into(&b.order, &s.b_pos, &mut s.b_order);
-        kernels::order_stats_gather(&s.b_order, &s.ys, &mut s.sv, Some(&mut s.ry), None);
-        let p = pearson_complete(&s.rx, &s.ry);
-        return CorrelationTest {
-            coefficient: CorrelationCoefficient::Spearman,
-            value: p.value,
-            p_value: p.p_value,
-            n: p.n,
-        };
-    }
-    let n = a.vals.len();
-    if n < 3 || a.rank_sxx == 0.0 || b.rank_sxx == 0.0 {
-        return CorrelationTest::degenerate(CorrelationCoefficient::Spearman, n);
-    }
-    pearson_from_moments(
-        CorrelationCoefficient::Spearman,
-        &a.ranks,
-        &b.ranks,
-        a.rank_mean,
-        b.rank_mean,
-        a.rank_sxx,
-        b.rank_sxx,
-    )
-}
-
-/// [`kendall`](crate::kendall) over two profiles; bit-identical, with the
-/// sort permutation and tie aggregates cached when the masks agree and
-/// filtered down to the intersection when they differ.
-///
-/// Either way `a`'s stable x-order (possibly filtered) replaces the
-/// from-scratch `(x, y)` sort: gathering `b`'s values in that order and
-/// stably sorting only inside x-tie runs reproduces the same permutation —
-/// singleton runs (the common case for traffic values) skip the refinement
-/// entirely.
-pub fn kendall_profiled(
-    a: &CorProfile,
-    b: &CorProfile,
-    scratch: &mut CorScratch,
-) -> CorrelationTest {
-    if !a.same_mask(b) {
-        let s = &mut *scratch;
-        gather_pairwise(a, b, &mut s.xs, &mut s.ys, &mut s.a_pos, &mut s.b_pos);
-        let m = s.xs.len();
-        if m < 3 {
-            return CorrelationTest::degenerate(CorrelationCoefficient::Kendall, m);
-        }
-        // x ties and runs from a's filtered order, y ties from b's.
-        kernels::filter_order_into(&a.order, &s.a_pos, &mut s.a_order);
-        let tx =
-            kernels::order_stats_gather(&s.a_order, &s.xs, &mut s.sv, None, Some(&mut s.runs_a));
-        kernels::gather_values(&s.a_order, &s.ys, &mut s.y);
-        let (n3, discordant) = kendall_refine(&mut s.y, &s.runs_a, &mut s.tmp);
-        kernels::filter_order_into(&b.order, &s.b_pos, &mut s.b_order);
-        let ty = kernels::order_stats_gather(&s.b_order, &s.ys, &mut s.sv, None, None);
-        return kendall_from_parts(m, n3, discordant, &tx, &ty);
-    }
-    let n = a.vals.len();
-    if n < 3 {
-        return CorrelationTest::degenerate(CorrelationCoefficient::Kendall, n);
-    }
-
-    // Partner values in x-sorted order, then y-refined within x-tie runs.
-    kernels::gather_values(&a.order, &b.vals, &mut scratch.y);
-    let (n3, discordant) = kendall_refine(&mut scratch.y, &a.tie_runs, &mut scratch.tmp);
-
-    kendall_from_parts(n, n3, discordant, &a.ties, &b.ties)
-}
-
 /// One side of a pair, resolved down to the mask intersection: either the
 /// profile's cached artifacts verbatim (when its own mask *is* the
 /// intersection) or statistics recomputed into scratch buffers from the
@@ -559,8 +430,8 @@ fn resolve_filtered<'v>(
 fn assemble(
     x: &SideView<'_>,
     y: &SideView<'_>,
-    ybuf: &mut Vec<f64>,
-    tmp: &mut Vec<f64>,
+    keys: &mut Vec<u32>,
+    tree: &mut Vec<u32>,
 ) -> (CorrelationTest, CorrelationTest, CorrelationTest) {
     let m = x.vals.len();
     if m < 3 {
@@ -627,16 +498,26 @@ fn assemble(
         };
         (p, s)
     };
-    kernels::gather_values(x.order, y.vals, ybuf);
-    let (n3, discordant) = kendall_refine(ybuf, x.runs, tmp);
+    // Kendall (Knight's algorithm): the from-scratch path sorts the pairs
+    // by `(x, y)` and counts inversions of the y sequence. Walking x's
+    // stable order and sorting the partner inside each x-tie run gives the
+    // same sequence, and joint ties are the equal-partner runs inside x-tie
+    // runs. The partner enters as its cached mid-ranks, floored to integer
+    // keys in [1, m] that order and tie exactly like its values, so the
+    // joint-tie and discordant counts are the same integers — counted by
+    // the Fenwick lane instead of an `f64` merge.
+    kernels::gather_rank_keys(x.order, y.ranks, keys);
+    let n3 = kernels::refine_tie_runs(keys, x.runs);
+    let discordant = kernels::count_inversions_keyed(keys, m + 1, tree);
     let k = kendall_from_parts(m, n3, discordant, &x.ties, &y.ties);
     (p, s, k)
 }
 
 /// All three coefficients of a pair at once — the batch engine's per-pair
-/// entry point. Bit-identical to calling [`pearson_profiled`],
-/// [`spearman_profiled`] and [`kendall_profiled`] in turn, but sharing all
-/// per-pair work across the three tests, with three tiers of reuse:
+/// entry point. Bit-identical to [`pearson`](crate::pearson),
+/// [`spearman`](crate::spearman) and [`kendall`](crate::kendall) on the
+/// raw series, sharing all per-pair work across the three tests, with
+/// three tiers of reuse:
 ///
 /// 1. equal masks — every cached statistic of both profiles applies;
 /// 2. one mask a subset of the other (a complete series against one with
@@ -652,9 +533,9 @@ pub fn cor_tests_profiled(
     if a.same_mask(b) {
         // Equal masks: both profiles' caches are views of the intersection
         // already, and `assemble` fuses the Pearson and Spearman folds into
-        // one pass — bit-identical to the three `*_profiled` calls (same
-        // degenerate ladder, same per-chain accumulation orders).
-        return assemble(&a.as_view(), &b.as_view(), &mut s.y, &mut s.tmp);
+        // one pass (same degenerate ladder, same per-chain accumulation
+        // orders as the from-scratch coefficients).
+        return assemble(&a.as_view(), &b.as_view(), &mut s.keys, &mut s.tree);
     }
     assert_eq!(a.len, b.len, "paired samples must have equal length");
     if mask_subset(a, b) {
@@ -669,7 +550,7 @@ pub fn cor_tests_profiled(
             &mut s.runs_b,
             &mut s.sv,
         );
-        assemble(&a.as_view(), &y, &mut s.y, &mut s.tmp)
+        assemble(&a.as_view(), &y, &mut s.keys, &mut s.tree)
     } else if mask_subset(b, a) {
         let sum = gather_superset(b, a, &mut s.xs, &mut s.a_pos);
         let x = resolve_filtered(
@@ -682,7 +563,7 @@ pub fn cor_tests_profiled(
             &mut s.runs_a,
             &mut s.sv,
         );
-        assemble(&x, &b.as_view(), &mut s.y, &mut s.tmp)
+        assemble(&x, &b.as_view(), &mut s.keys, &mut s.tree)
     } else {
         let (sum_x, sum_y) =
             gather_pairwise(a, b, &mut s.xs, &mut s.ys, &mut s.a_pos, &mut s.b_pos);
@@ -706,7 +587,7 @@ pub fn cor_tests_profiled(
             &mut s.runs_b,
             &mut s.sv,
         );
-        assemble(&x, &y, &mut s.y, &mut s.tmp)
+        assemble(&x, &y, &mut s.keys, &mut s.tree)
     }
 }
 
@@ -715,15 +596,20 @@ mod tests {
     use super::*;
     use crate::correlation::{kendall, pearson, spearman};
 
+    /// `cor_tests_profiled` against the from-scratch coefficients, every
+    /// field bit for bit.
     fn assert_bit_identical(x: &[f64], y: &[f64]) {
         let (pa, pb) = (CorProfile::new(x), CorProfile::new(y));
         let mut scratch = CorScratch::new();
-        let cases = [
-            (pearson(x, y), pearson_profiled(&pa, &pb, &mut scratch)),
-            (spearman(x, y), spearman_profiled(&pa, &pb, &mut scratch)),
-            (kendall(x, y), kendall_profiled(&pa, &pb, &mut scratch)),
-        ];
-        for (reference, profiled) in cases {
+        assert_tests_match(x, y, cor_tests_profiled(&pa, &pb, &mut scratch));
+    }
+
+    fn assert_tests_match(
+        x: &[f64],
+        y: &[f64],
+        (p, s, k): (CorrelationTest, CorrelationTest, CorrelationTest),
+    ) {
+        for (reference, profiled) in [(pearson(x, y), p), (spearman(x, y), s), (kendall(x, y), k)] {
             assert_eq!(reference.coefficient, profiled.coefficient);
             assert_eq!(reference.n, profiled.n);
             assert_eq!(
@@ -789,18 +675,6 @@ mod tests {
         );
     }
 
-    fn assert_combined_matches(x: &[f64], y: &[f64]) {
-        let (pa, pb) = (CorProfile::new(x), CorProfile::new(y));
-        let mut scratch = CorScratch::new();
-        let (p, s, k) = cor_tests_profiled(&pa, &pb, &mut scratch);
-        for (combined, reference) in [(p, pearson(x, y)), (s, spearman(x, y)), (k, kendall(x, y))] {
-            assert_eq!(combined.coefficient, reference.coefficient);
-            assert_eq!(combined.n, reference.n);
-            assert_eq!(combined.value.to_bits(), reference.value.to_bits());
-            assert_eq!(combined.p_value.to_bits(), reference.p_value.to_bits());
-        }
-    }
-
     #[test]
     fn subset_masks_reuse_the_narrow_side() {
         // Complete against holey, both directions.
@@ -810,8 +684,8 @@ mod tests {
             &CorProfile::new(&holey),
             &CorProfile::new(&complete)
         ));
-        assert_combined_matches(&holey, &complete);
-        assert_combined_matches(&complete, &holey);
+        assert_bit_identical(&holey, &complete);
+        assert_bit_identical(&complete, &holey);
         // Strictly nested holes, neither side complete.
         let narrow = [3.0, f64::NAN, 4.0, 1.0, f64::NAN, 9.0, 2.0, 2.0];
         let wide = [1.0, f64::NAN, 3.0, 4.0, 5.0, 6.0, 7.0, 7.0];
@@ -823,8 +697,8 @@ mod tests {
             &CorProfile::new(&wide),
             &CorProfile::new(&narrow)
         ));
-        assert_combined_matches(&narrow, &wide);
-        assert_combined_matches(&wide, &narrow);
+        assert_bit_identical(&narrow, &wide);
+        assert_bit_identical(&wide, &narrow);
         // Incomparable masks still go through the two-sided fallback.
         let left = [1.0, f64::NAN, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
         let right = [2.0, 4.0, 6.0, f64::NAN, 10.0, 12.0, 15.0, 16.0];
@@ -832,25 +706,21 @@ mod tests {
             &CorProfile::new(&left),
             &CorProfile::new(&right)
         ));
-        assert_combined_matches(&left, &right);
+        assert_bit_identical(&left, &right);
     }
 
     #[test]
     fn combined_tests_match_individual_functions() {
+        // One scratch across all three mask tiers and back: no buffer may
+        // carry state from one pair into the next.
         let x = [1.0, 2.0, f64::NAN, 4.0, 4.0, 6.0, 7.0, 8.0];
         let y = [2.0, 4.0, 6.0, f64::NAN, 10.0, 10.0, 15.0, 16.0];
-        let (pa, pb) = (CorProfile::new(&x), CorProfile::new(&y));
+        let z = [2.0, 9.0, 6.0, 5.0, 10.0, 1.0, 15.0, 16.0];
+        let w = [3.0, 9.0, f64::NAN, 5.0, 3.0, 1.0, 15.0, 16.0];
         let mut scratch = CorScratch::new();
-        let (p, s, k) = cor_tests_profiled(&pa, &pb, &mut scratch);
-        for (combined, individual) in [
-            (p, pearson_profiled(&pa, &pb, &mut scratch)),
-            (s, spearman_profiled(&pa, &pb, &mut scratch)),
-            (k, kendall_profiled(&pa, &pb, &mut scratch)),
-        ] {
-            assert_eq!(combined.coefficient, individual.coefficient);
-            assert_eq!(combined.n, individual.n);
-            assert_eq!(combined.value.to_bits(), individual.value.to_bits());
-            assert_eq!(combined.p_value.to_bits(), individual.p_value.to_bits());
+        for (a, b) in [(&x, &y), (&x, &z), (&z, &x), (&x, &w), (&x, &y), (&w, &w)] {
+            let (pa, pb) = (CorProfile::new(a), CorProfile::new(b));
+            assert_tests_match(a, b, cor_tests_profiled(&pa, &pb, &mut scratch));
         }
         // Too few shared observations degenerate every coefficient.
         let (pa, pb) = (

@@ -51,31 +51,127 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 /// statistics (R's default "type 7", the same convention as NumPy).
 ///
 /// `q` must lie in `[0, 1]`. Returns `NaN` for an all-missing input.
+///
+/// The two order statistics are found by selection in O(n) expected time,
+/// bit-identical to interpolating over a sorted copy (see [`Selection`]).
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile q must be in [0, 1]");
-    let mut v: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
-    if v.is_empty() {
+    let mut vals = Vec::with_capacity(xs.len());
+    let mut neg_zero = false;
+    for &x in xs {
+        if x.is_finite() {
+            neg_zero |= is_neg_zero(x);
+            vals.push(x);
+        }
+    }
+    if vals.is_empty() {
         return f64::NAN;
     }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-    quantile_sorted(&v, q)
+    let n = vals.len();
+    let (lo, hi) = type7_ranks(n, q);
+    Selection::new(xs, vals, neg_zero, &[lo, hi]).quantile(q)
 }
 
 /// Type-7 quantile over an already ascending-sorted, all-finite slice.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "quantile of empty slice");
-    let n = sorted.len();
-    if n == 1 {
-        return sorted[0];
-    }
+    type7(sorted.len(), q, |r| sorted[r])
+}
+
+/// The two sorted positions `(⌊h⌋, ⌈h⌉)`, `h = q·(n − 1)`, that a type-7
+/// quantile interpolates between.
+fn type7_ranks(n: usize, q: f64) -> (usize, usize) {
     let h = q * (n - 1) as f64;
-    let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
+    (h.floor() as usize, h.ceil() as usize)
+}
+
+/// Type-7 interpolation over `n ≥ 1` values whose `r`-th order statistic
+/// is `stat(r)`.
+fn type7(n: usize, q: f64, stat: impl Fn(usize) -> f64) -> f64 {
+    let h = q * (n - 1) as f64;
+    let (lo, hi) = type7_ranks(n, q);
     if lo == hi {
-        sorted[lo]
+        stat(lo)
     } else {
-        sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
+        stat(lo) + (h - lo as f64) * (stat(hi) - stat(lo))
     }
+}
+
+fn is_neg_zero(x: f64) -> bool {
+    x.to_bits() == (-0.0f64).to_bits()
+}
+
+/// The finite values of a sample, partially ordered by selection so that
+/// chosen order statistics sit at their sorted positions — what a stable
+/// sort would give at those positions, bit for bit, in O(n) expected time
+/// instead of O(n log n).
+///
+/// Selection is unstable, which only matters for the one set of distinct
+/// bit patterns that compare equal: `-0.0` and `0.0`. When the sample
+/// holds a `-0.0`, a zero-valued order statistic takes the sign of the
+/// zero a stable sort puts at that position: the `(r − #negatives)`-th
+/// zero of the input.
+struct Selection<'a> {
+    input: &'a [f64],
+    vals: Vec<f64>,
+    neg_zero: bool,
+}
+
+impl<'a> Selection<'a> {
+    /// Places every rank in `ranks` (the finite values of `input` are
+    /// `vals`; `neg_zero` says whether one of them is `-0.0`).
+    fn new(input: &'a [f64], mut vals: Vec<f64>, neg_zero: bool, ranks: &[usize]) -> Self {
+        let mut ranks = ranks.to_vec();
+        ranks.sort_unstable();
+        ranks.dedup();
+        select_ranks(&mut vals, 0, &ranks);
+        Selection {
+            input,
+            vals,
+            neg_zero,
+        }
+    }
+
+    /// The `r`-th order statistic; `r` must be one of the placed ranks.
+    fn at(&self, r: usize) -> f64 {
+        let x = self.vals[r];
+        if x != 0.0 || !self.neg_zero {
+            return x;
+        }
+        let below = self
+            .input
+            .iter()
+            .filter(|&&v| v < 0.0 && v.is_finite())
+            .count();
+        self.input
+            .iter()
+            .copied()
+            .filter(|&v| v == 0.0)
+            .nth(r - below)
+            .expect("a zero order statistic has a zero at its position")
+    }
+
+    fn quantile(&self, q: f64) -> f64 {
+        type7(self.vals.len(), q, |r| self.at(r))
+    }
+}
+
+/// Partially orders `v` — whose first element has sorted position `base`
+/// — so that `v[r − base]` is the `r`-th smallest value for every `r` in
+/// `ranks` (ascending, distinct). Each selection splits the slice at its
+/// rank and the other ranks recurse into the side they fall in.
+///
+/// The values are finite, so IEEE total order ranks them like `<` except
+/// that it puts `-0.0` before `0.0`: the value at each rank is the same
+/// number either way, and [`Selection::at`] settles a zero's sign.
+fn select_ranks(v: &mut [f64], base: usize, ranks: &[usize]) {
+    let mid = ranks.len() / 2;
+    let Some(&r) = ranks.get(mid) else {
+        return;
+    };
+    let (left, _, right) = v.select_nth_unstable_by(r - base, f64::total_cmp);
+    select_ranks(left, base, &ranks[..mid]);
+    select_ranks(right, r + 1, &ranks[mid + 1..]);
 }
 
 /// Median of the finite values.
@@ -118,33 +214,71 @@ impl BoxplotStats {
     /// Computes boxplot statistics over the finite values of `xs`.
     ///
     /// Returns `None` if there is no finite value.
+    ///
+    /// Linear time: the quartiles come from selection (see [`Selection`]),
+    /// and min/max, whiskers and outlier counts from scans. Every field is
+    /// bit-identical to reading them off a stably sorted copy, `-0.0`/`0.0`
+    /// ties included: each scan keeps the element a stable sort puts first
+    /// (minimum, lower whisker) or last (maximum, upper whisker) among
+    /// equal values, i.e. the first or last in input order.
     pub fn from_samples(xs: &[f64]) -> Option<BoxplotStats> {
-        let mut v: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
-        if v.is_empty() {
+        let mut vals = Vec::with_capacity(xs.len());
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut neg_zero = false;
+        for &x in xs {
+            if x.is_finite() {
+                min = if x < min { x } else { min };
+                max = if x >= max { x } else { max };
+                neg_zero |= is_neg_zero(x);
+                vals.push(x);
+            }
+        }
+        let n = vals.len();
+        if n == 0 {
             return None;
         }
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-        let q1 = quantile_sorted(&v, 0.25);
-        let q3 = quantile_sorted(&v, 0.75);
+        let (l1, h1) = type7_ranks(n, 0.25);
+        let (l2, h2) = type7_ranks(n, 0.5);
+        let (l3, h3) = type7_ranks(n, 0.75);
+        let sel = Selection::new(xs, vals, neg_zero, &[l1, h1, l2, h2, l3, h3]);
+        let q1 = sel.quantile(0.25);
+        let q3 = sel.quantile(0.75);
         let iqr = q3 - q1;
         let hi_fence = q3 + 1.5 * iqr;
         let lo_fence = q1 - 1.5 * iqr;
-        // Largest point within the upper fence; quartile itself if none is.
-        let upper_whisker = v.iter().copied().rfind(|&x| x <= hi_fence).unwrap_or(q3);
-        let lower_whisker = v.iter().copied().find(|&x| x >= lo_fence).unwrap_or(q1);
-        let upper_outliers = v.iter().filter(|&&x| x > upper_whisker).count();
-        let lower_outliers = v.iter().filter(|&&x| x < lower_whisker).count();
+        // Largest point within the upper fence (last of its ties) and
+        // smallest within the lower fence (first of its ties); the quartile
+        // itself if none is. Finite data never equals the ±∞ seeds.
+        let (mut upper, mut lower) = (f64::NEG_INFINITY, f64::INFINITY);
+        for &x in xs {
+            if x.is_finite() {
+                upper = if x <= hi_fence && x >= upper {
+                    x
+                } else {
+                    upper
+                };
+                lower = if x >= lo_fence && x < lower { x } else { lower };
+            }
+        }
+        let upper_whisker = if upper == f64::NEG_INFINITY {
+            q3
+        } else {
+            upper
+        };
+        let lower_whisker = if lower == f64::INFINITY { q1 } else { lower };
+        let upper_outliers = sel.vals.iter().filter(|&&x| x > upper_whisker).count();
+        let lower_outliers = sel.vals.iter().filter(|&&x| x < lower_whisker).count();
         Some(BoxplotStats {
-            min: v[0],
+            min,
             q1,
-            median: quantile_sorted(&v, 0.5),
+            median: sel.quantile(0.5),
             q3,
-            max: *v.last().expect("non-empty"),
+            max,
             upper_whisker,
             lower_whisker,
             upper_outliers,
             lower_outliers,
-            n: v.len(),
+            n,
         })
     }
 

@@ -25,12 +25,16 @@
 //!    overlap each other's add latency. Same idea at higher fan-out in
 //!    [`dot_lags_batch`]: one sweep carries up to four lags' independent
 //!    accumulators.
-//! 2. **Integer-exact arithmetic.** Inversion counts ([`count_inversions`])
-//!    and joint-tie counts ([`refine_tie_runs`]) are integers; any correct
-//!    algorithm produces the same integer, so the merge strategy is free to
-//!    change. The KS scan's record test ([`ks_sup_scan`]) is moved to exact
-//!    integer cross-multiples, with the `f64` gap evaluated only at weak
-//!    records — in the very order the reference scan would have used.
+//! 2. **Integer-exact arithmetic.** Inversion counts ([`count_inversions`],
+//!    [`count_inversions_keyed`]) and joint-tie counts ([`refine_tie_runs`])
+//!    are integers; any correct algorithm produces the same integer, on the
+//!    values or on any integer keys that order and tie exactly like them
+//!    ([`gather_rank_keys`]), so the counting strategy is free to change.
+//!    Likewise distinct integer keys have one ascending order, whichever
+//!    sort finds it (the radix lane behind `rank_series`). The KS scan's
+//!    record test ([`ks_sup_scan`]) is moved to exact integer
+//!    cross-multiples, with the `f64` gap evaluated only at weak records —
+//!    in the very order the reference scan would have used.
 //! 3. **Branch removal.** [`filter_order_into`] replaces a ~50%
 //!    mispredicted filter branch with an unconditional store and a counted
 //!    bump; [`order_stats_gather`] gathers the sorted values once and walks
@@ -535,20 +539,33 @@ pub fn stable_value_sort(xs: &[f64], kv: &mut Vec<(f64, u32)>) {
 /// touches the original array, and ranks are written with one scatter per
 /// element.
 pub fn ranks_from_sorted_pairs(kv: &[(f64, u32)], ranks: &mut Vec<f64>, ties: &mut Vec<usize>) {
-    let n = kv.len();
+    ranks_from_sorted(kv, |p| p.0, |p| p.1, ranks, ties);
+}
+
+/// The tie walk behind [`ranks_from_sorted_pairs`] and [`rank_radix`], over
+/// any stably sorted sequence: `key` decides which sorted neighbours tie,
+/// `index` is each element's input position.
+fn ranks_from_sorted<T: Copy, K: PartialEq>(
+    sorted: &[T],
+    key: impl Fn(T) -> K,
+    index: impl Fn(T) -> u32,
+    ranks: &mut Vec<f64>,
+    ties: &mut Vec<usize>,
+) {
+    let n = sorted.len();
     ranks.clear();
     ranks.resize(n, 0.0);
     ties.clear();
     let mut i = 0;
     while i < n {
-        let v = kv[i].0;
+        let v = key(sorted[i]);
         let mut j = i + 1;
-        while j < n && kv[j].0 == v {
+        while j < n && key(sorted[j]) == v {
             j += 1;
         }
         let avg = (i + j - 1) as f64 / 2.0 + 1.0;
-        for pair in &kv[i..j] {
-            ranks[pair.1 as usize] = avg;
+        for &e in &sorted[i..j] {
+            ranks[index(e) as usize] = avg;
         }
         if j - i > 1 {
             ties.push(j - i);
@@ -558,7 +575,7 @@ pub fn ranks_from_sorted_pairs(kv: &[(f64, u32)], ranks: &mut Vec<f64>, ties: &m
 }
 
 // ---------------------------------------------------------------------------
-// Small-domain fast lanes (kernels B and C)
+// Integral fast lanes: small-domain counting, wide-span radix (kernels B, C)
 // ---------------------------------------------------------------------------
 
 /// Detects the *small-domain* case: every value is an exactly-representable
@@ -614,10 +631,23 @@ fn small_domain(xs: &[f64]) -> Option<(f64, usize)> {
 /// when the bet loses.
 const OPT_R: usize = 512;
 
+/// What the fused probe of [`rank_small_domain`] learned about a series.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum DomainProbe {
+    /// Small-domain series: ranked by the counting lane, outputs written.
+    Ranked,
+    /// Every value is integral (so finite), but the span `max − min` is too
+    /// wide to count; the extremes seed [`rank_radix`] without a rescan.
+    WideIntegral { min: f64, max: f64 },
+    /// Some value is non-integral or non-finite: comparison sort only.
+    General,
+}
+
 /// Counting-sort rank kernel for [`small_domain`] series: the stable sort
 /// permutation, mid-ranks and tie-group sizes of `xs` in O(n + range),
-/// bit-identical to the comparison-sort path. Returns `false` (outputs
-/// untouched) when the series is not small-domain.
+/// bit-identical to the comparison-sort path. Returns
+/// [`DomainProbe::Ranked`] when it ranked `xs`; otherwise the outputs are
+/// untouched and the verdict says whether the values are integral.
 ///
 /// Why the artifacts are identical to a stable comparator sort plus tie
 /// walk:
@@ -643,19 +673,19 @@ const OPT_R: usize = 512;
 /// independent streams so the hot-bucket increments (bursty traffic
 /// concentrates in a handful of values) pipeline instead of serializing on
 /// store-to-load forwarding.
-pub fn rank_small_domain(
+pub(crate) fn rank_small_domain(
     xs: &[f64],
     order: &mut Vec<u32>,
     ranks: &mut Vec<f64>,
     ties: &mut Vec<usize>,
-) -> bool {
+) -> DomainProbe {
     let n = xs.len();
     assert!(n <= u32::MAX as usize, "series too long for u32 order");
     if n == 0 {
         order.clear();
         ranks.clear();
         ties.clear();
-        return true;
+        return DomainProbe::Ranked;
     }
     // Quarter streams: consecutive index blocks of length q, q, q, n − 3q.
     let q = n / 4;
@@ -704,7 +734,7 @@ pub fn rank_small_domain(
     // NaN and ±∞ fail the round-trip, so passing this gate also certifies
     // every value finite (the caller skips its own finite scan).
     if !(i0 & i1 & i2 & i3) {
-        return false;
+        return DomainProbe::General;
     }
     let mn01 = if mn1 < mn0 { mn1 } else { mn0 };
     let mn23 = if mn3 < mn2 { mn3 } else { mn2 };
@@ -713,8 +743,8 @@ pub fn rank_small_domain(
     let mx23 = if mx3 > mx2 { mx3 } else { mx2 };
     let mx = if mx23 > mx01 { mx23 } else { mx01 };
     let range = mx - mn;
-    if range.is_nan() || range < 0.0 || range >= n.max(512) as f64 {
-        return false;
+    if range >= n.max(512) as f64 {
+        return DomainProbe::WideIntegral { min: mn, max: mx };
     }
     // `off` maps a value to its bucket as `(v − off) as usize`; the fused
     // histogram used `off = 0`, valid exactly when the values sat inside
@@ -803,7 +833,126 @@ pub fn rank_small_domain(
             rk[i] = avgs[b];
         }
     }
+    DomainProbe::Ranked
+}
+
+/// Integral series shorter than this keep the comparison sort, so the
+/// online tier's 8-bin windows rank exactly as before. (Packed keys are
+/// faster from 8 points up on a 2-vCPU VM — 0.10 vs 0.15 µs at 8 points,
+/// 0.94 vs 1.85 µs at 64 — so the cutoff only scopes the lane.)
+const RADIX_MIN_LEN: usize = 16;
+
+/// From this length on, packed keys are sorted by LSD radix instead of
+/// `sort_unstable`: measured on raw bytes/min spans (~29 bits), the
+/// quicksort wins below ~10k points (26 vs 32 µs at 1440) and the two-pass
+/// radix above (0.68 vs 1.25 ms at 40320).
+const RADIX_LSD_LEN: usize = 8192;
+
+/// Exclusive bound on the span `max − min` the radix lane accepts: value
+/// offsets must fit the high half of a `u64` key.
+const RADIX_SPAN: f64 = 4_294_967_296.0;
+
+/// Widest LSD digit; digits are balanced below it, so any span under 2³²
+/// sorts in at most two passes (a 29-bit span in two 15-bit passes).
+const RADIX_DIGIT_BITS: u32 = 16;
+
+/// Radix rank kernel for integral series whose span is too wide to count
+/// (the shape of raw bytes/min device series): the stable sort permutation,
+/// mid-ranks and tie-group sizes of `xs`, bit-identical to
+/// [`stable_value_sort`] + [`ranks_from_sorted_pairs`]. `min`/`max` are the
+/// extremes [`rank_small_domain`]'s probe certified (every value integral,
+/// hence finite). Returns `false` (outputs untouched) when `xs` is shorter
+/// than [`RADIX_MIN_LEN`] or spans 2³² or more.
+///
+/// Each value becomes the packed key `(v − min) << 32 | index`. The keys
+/// are distinct, so every correct sort puts them in the one ascending
+/// order: an LSD radix sort over the offset bits for long series, integer
+/// `sort_unstable` for shorter ones. Why the artifacts are identical to a
+/// stable comparator sort plus tie walk:
+///
+/// * `v − min` is exact: the span is below 2³², so either both operands are
+///   below 2³³ in magnitude (exact integers) or they lie within a factor of
+///   two of each other (Sterbenz). A rounded `max − min` cannot pass the
+///   `< 2³²` gate either, since rounding is monotone and 2³² is
+///   representable;
+/// * so offsets are equal exactly when values are equal (`-0.0` and `0.0`
+///   both map to offset 0, and they compare equal too) and ordered like
+///   the values;
+/// * the index in the low half breaks offset ties by input position —
+///   stability;
+/// * mid-ranks use the same `(start + end − 1) / 2 + 1` arithmetic on the
+///   same run boundaries.
+pub(crate) fn rank_radix(
+    xs: &[f64],
+    min: f64,
+    max: f64,
+    order: &mut Vec<u32>,
+    ranks: &mut Vec<f64>,
+    ties: &mut Vec<usize>,
+) -> bool {
+    let n = xs.len();
+    let span = max - min;
+    if n < RADIX_MIN_LEN || span.is_nan() || span >= RADIX_SPAN {
+        return false;
+    }
+    assert!(n <= u32::MAX as usize, "series too long for u32 order");
+    let keys = if n < RADIX_LSD_LEN {
+        let mut keys: Vec<u64> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (((v - min) as u64) << 32) | i as u64)
+            .collect();
+        keys.sort_unstable();
+        keys
+    } else {
+        lsd_radix_keys(xs, min, u64::BITS - (span as u64).leading_zeros())
+    };
+    order.clear();
+    order.extend(keys.iter().map(|&k| k as u32));
+    ranks_from_sorted(&keys, |k| k >> 32, |k| k as u32, ranks, ties);
     true
+}
+
+/// The packed keys of `xs`, ascending, by stable LSD radix sort over the
+/// offsets (which fit `bits` bits); the indices in the low halves start
+/// ascending and ride along. Building the keys also fills every pass's
+/// histogram, so the passes only scatter.
+fn lsd_radix_keys(xs: &[f64], min: f64, bits: u32) -> Vec<u64> {
+    let n = xs.len();
+    let passes = bits.div_ceil(RADIX_DIGIT_BITS).max(1) as usize;
+    let digit = bits.div_ceil(passes as u32);
+    let buckets = 1usize << digit;
+    let mask = buckets as u64 - 1;
+    let mut hist = vec![0u32; passes * buckets];
+    let mut keys = Vec::with_capacity(n);
+    for (i, &v) in xs.iter().enumerate() {
+        let off = (v - min) as u64;
+        keys.push((off << 32) | i as u64);
+        for p in 0..passes {
+            hist[p * buckets + ((off >> (p as u32 * digit)) & mask) as usize] += 1;
+        }
+    }
+    let mut tmp = vec![0u64; n];
+    for (p, h) in hist.chunks_exact_mut(buckets).enumerate() {
+        // A digit every key shares permutes nothing: skip the pass.
+        if h.iter().any(|&c| c as usize == n) {
+            continue;
+        }
+        let mut sum = 0u32;
+        for c in h.iter_mut() {
+            let t = *c;
+            *c = sum;
+            sum += t;
+        }
+        let shift = 32 + p as u32 * digit;
+        for &k in &keys {
+            let b = ((k >> shift) & mask) as usize;
+            tmp[h[b] as usize] = k;
+            h[b] += 1;
+        }
+        std::mem::swap(&mut keys, &mut tmp);
+    }
+    keys
 }
 
 // ---------------------------------------------------------------------------
@@ -876,24 +1025,8 @@ pub fn count_inversions(v: &mut [f64], tmp: &mut Vec<f64>) -> u64 {
 fn inversions_small_domain(v: &mut [f64], tmp: &mut Vec<f64>) -> Option<u64> {
     let n = v.len();
     let (mn, r) = small_domain(v)?;
-    // Fenwick prefix-count tree, 1-indexed over the value buckets.
     let mut tree = vec![0u32; r + 1];
-    let mut inv = 0u64;
-    for (i, &x) in v.iter().enumerate() {
-        let b = (x - mn) as usize + 1;
-        let mut idx = b;
-        let mut at_most = 0u32;
-        while idx > 0 {
-            at_most += tree[idx];
-            idx &= idx - 1;
-        }
-        inv += (i as u32 - at_most) as u64;
-        let mut idx = b;
-        while idx <= r {
-            tree[idx] += 1;
-            idx += idx & idx.wrapping_neg();
-        }
-    }
+    let inv = fenwick_inversions(v.iter().map(|&x| (x - mn) as usize + 1), &mut tree);
     // Stable counting sort of the values themselves into `tmp`, then copy
     // back: `count_inversions` promises `v` sorted ascending on return.
     let mut counts = vec![0u32; r];
@@ -917,10 +1050,67 @@ fn inversions_small_domain(v: &mut [f64], tmp: &mut Vec<f64>) -> Option<u64> {
     Some(inv)
 }
 
+/// The Fenwick lane's count: for each element, how many strictly greater
+/// buckets precede it — `i − (# previous buckets ≤ bᵢ)` — in
+/// O(n·log range) with no comparison-dependent branches. `buckets` yields
+/// 1-based bucket indices into the zeroed prefix-count `tree` (length
+/// range + 1); the count is pure integer arithmetic.
+fn fenwick_inversions(buckets: impl Iterator<Item = usize>, tree: &mut [u32]) -> u64 {
+    let r = tree.len() - 1;
+    let mut inv = 0u64;
+    for (i, b) in buckets.enumerate() {
+        let mut idx = b;
+        let mut at_most = 0u32;
+        while idx > 0 {
+            at_most += tree[idx];
+            idx &= idx - 1;
+        }
+        inv += (i as u32 - at_most) as u64;
+        let mut idx = b;
+        while idx <= r {
+            tree[idx] += 1;
+            idx += idx & idx.wrapping_neg();
+        }
+    }
+    inv
+}
+
+/// Inversions of integer `keys`, each in `[0, domain)`, through the
+/// Fenwick lane of [`count_inversions`] at any domain width — the
+/// profiled Kendall path's counter, whose keys are partner ranks (see
+/// [`gather_rank_keys`]) in `[1, m]`. `keys` is left as is; `tree` is
+/// resized to `domain + 1` zeroed counters and reused across calls.
+///
+/// # Panics
+/// Panics if a key is `domain` or larger.
+pub fn count_inversions_keyed(keys: &[u32], domain: usize, tree: &mut Vec<u32>) -> u64 {
+    assert!(
+        keys.len() <= u32::MAX as usize,
+        "too many keys for u32 counts"
+    );
+    tree.clear();
+    tree.resize(domain + 1, 0);
+    fenwick_inversions(keys.iter().map(|&k| k as usize + 1), tree)
+}
+
+/// Gathers integer rank keys along a sort order: `out[k]` is
+/// `⌊ranks[order[k]]⌋`, the floor of a mid-rank (1-based, ties averaged).
+///
+/// A tie group occupying sorted positions `[i, j)` has mid-rank in its own
+/// rank interval `[i + 1, j]`, and so does the floor; the intervals of
+/// distinct groups are disjoint and ordered. The keys are therefore exact
+/// integers in `[1, m]`, strictly monotone in the underlying values and
+/// equal exactly when the values are equal — every comparison Kendall's
+/// counts make on values comes out the same on keys.
+pub fn gather_rank_keys(order: &[u32], ranks: &[f64], out: &mut Vec<u32>) {
+    out.clear();
+    out.extend(order.iter().map(|&k| ranks[k as usize] as u32));
+}
+
 /// Insertion-sorts a short run, returning its exact inversion count: each
 /// element's shift distance is the number of earlier, strictly greater
 /// elements.
-fn insertion_count(b: &mut [f64]) -> u64 {
+fn insertion_count<T: PartialOrd + Copy>(b: &mut [T]) -> u64 {
     let mut inv = 0u64;
     for i in 1..b.len() {
         let x = b[i];
@@ -989,23 +1179,21 @@ fn merge_into(src: &[f64], mid: usize, dst: &mut [f64]) -> u64 {
     inv
 }
 
-/// Kendall's y-refinement: stably sorts `y` inside each x-tie run and
-/// counts the joint ties (equal-y runs inside x-tie runs) — Σ g(g−1)/2.
-/// Short runs (the overwhelmingly common case for traffic values) use
-/// insertion sort instead of the general pattern-defeating sort; an empty
-/// `tie_runs` (the `tie_free()` case) skips everything, touching no memory.
-///
-/// Sorted segments are value-identical regardless of sort algorithm (equal
-/// keys have equal bits under `partial_cmp`, and both sorts are stable for
-/// the `-0.0`/`0.0` case), so the downstream inversion count is unchanged.
-pub fn refine_tie_runs(y: &mut [f64], tie_runs: &[(u32, u32)]) -> u64 {
+/// Kendall's y-refinement on partner keys (see [`gather_rank_keys`]):
+/// sorts the keys inside each x-tie run and counts the joint ties
+/// (equal-key runs inside x-tie runs) — Σ g(g−1)/2. Short runs (the
+/// overwhelmingly common case for traffic values) use insertion sort; an
+/// empty `tie_runs` (the `tie_free()` case) skips everything, touching no
+/// memory. Equal integer keys are indistinguishable, so an unstable sort
+/// of a long run leaves the same sequence a stable one would.
+pub fn refine_tie_runs(keys: &mut [u32], tie_runs: &[(u32, u32)]) -> u64 {
     let mut n3 = 0u64;
     for &(start, len) in tie_runs {
-        let seg = &mut y[start as usize..(start + len) as usize];
+        let seg = &mut keys[start as usize..(start + len) as usize];
         if seg.len() <= MERGE_BASE {
             insertion_count(seg);
         } else {
-            seg.sort_by(|p, q| p.partial_cmp(q).expect("finite values compare"));
+            seg.sort_unstable();
         }
         let mut i = 0;
         while i < seg.len() {
@@ -1237,14 +1425,171 @@ mod tests {
     #[test]
     fn refine_tie_runs_counts_joint_ties() {
         // Two x-tie runs; joint ties only inside them.
-        let mut y = vec![5.0, 2.0, 2.0, 9.0, 1.0, 1.0, 1.0, 4.0];
+        let mut y = vec![5, 2, 2, 9, 1, 1, 1, 4];
         let runs = vec![(1u32, 2u32), (4u32, 3u32)];
         let n3 = refine_tie_runs(&mut y, &runs);
         // Run 1: [2,2] -> 1 joint pair; run 2: [1,1,1] -> 3 joint pairs.
         assert_eq!(n3, 4);
-        assert_eq!(y, vec![5.0, 2.0, 2.0, 9.0, 1.0, 1.0, 1.0, 4.0]);
+        assert_eq!(y, vec![5, 2, 2, 9, 1, 1, 1, 4]);
+        // A run longer than the insertion base is sorted, too.
+        let mut long: Vec<u32> = (0..80).map(|i| (i * 37) % 11).collect();
+        let n3 = refine_tie_runs(&mut long, &[(0, 80)]);
+        assert!(long.windows(2).all(|w| w[0] <= w[1]));
+        let groups: u64 = (0..11)
+            .map(|v| long.iter().filter(|&&k| k == v).count() as u64)
+            .map(|g| g * (g - 1) / 2)
+            .sum();
+        assert_eq!(n3, groups);
         // Empty runs touch nothing.
         assert_eq!(refine_tie_runs(&mut y, &[]), 0);
+    }
+
+    #[test]
+    fn keyed_inversions_match_the_value_count() {
+        let mut tree = Vec::new();
+        for (n, modulo, seed) in [(0usize, 5u64, 1u64), (1, 5, 2), (40, 3, 3), (300, 1000, 4)] {
+            let v = random_vec(n, modulo, seed);
+            let keys: Vec<u32> = v.iter().map(|&x| x as u32).collect();
+            let got = count_inversions_keyed(&keys, modulo as usize, &mut tree);
+            assert_eq!(got, naive_inversions(&v), "n={n} modulo={modulo}");
+        }
+        // Floor-of-mid-rank keys are order-isomorphic to the values.
+        let xs = [30.0, 10.0, 20.0, 10.0, 30.0, 5.0];
+        let ranks = [5.5, 2.5, 4.0, 2.5, 5.5, 1.0];
+        let order: Vec<u32> = (0..6).collect();
+        let mut keys = Vec::new();
+        gather_rank_keys(&order, &ranks, &mut keys);
+        assert_eq!(keys, vec![5, 2, 4, 2, 5, 1]);
+        assert_eq!(
+            count_inversions_keyed(&keys, 7, &mut tree),
+            naive_inversions(&xs)
+        );
+    }
+
+    /// Which lane of `rank_series`' ladder takes `xs`: the probe's verdict,
+    /// then whether the radix gate accepts a wide integral series.
+    fn lane(xs: &[f64]) -> &'static str {
+        let (mut order, mut ranks, mut ties) = (Vec::new(), Vec::new(), Vec::new());
+        match rank_small_domain(xs, &mut order, &mut ranks, &mut ties) {
+            DomainProbe::Ranked => "counting",
+            DomainProbe::WideIntegral { min, max } => {
+                if rank_radix(xs, min, max, &mut order, &mut ranks, &mut ties) {
+                    "radix"
+                } else {
+                    "comparison"
+                }
+            }
+            DomainProbe::General => "comparison",
+        }
+    }
+
+    /// Each lane is chosen from the input alone: integrality, span and
+    /// length. (`tests/kernel_props.rs` checks the same shapes' artifacts
+    /// against the comparison reference through `rank_series`.)
+    #[test]
+    fn rank_lane_ladder_follows_the_input() {
+        let mut state = 5u64;
+        let mut wide = |n: usize, base: f64| -> Vec<f64> {
+            (0..n)
+                .map(|_| base + (lcg(&mut state) % 300_000_000) as f64)
+                .collect()
+        };
+        // Length cutoff: 8-bin windows keep the comparison sort.
+        for n in [2, 8, RADIX_MIN_LEN - 1] {
+            assert_eq!(lane(&wide(n, 0.0)), "comparison", "n={n}");
+        }
+        for n in [RADIX_MIN_LEN, 64, 1440, RADIX_LSD_LEN, RADIX_LSD_LEN + 1] {
+            assert_eq!(lane(&wide(n, 0.0)), "radix", "n={n}");
+        }
+        // Span gate: 2³² − 1 is the widest span taken, at any offset.
+        for base in [0.0, -2e9, 1e15] {
+            let mut xs = wide(300, base);
+            xs[17] = base;
+            xs[230] = base + (RADIX_SPAN - 1.0);
+            assert_eq!(lane(&xs), "radix", "base {base}");
+            xs[230] = base + RADIX_SPAN;
+            assert_eq!(lane(&xs), "comparison", "base {base}");
+        }
+        // Negative and far-offset minima, signed zeros inside the span.
+        for base in [-3e8, 7e9, 2f64.powi(60)] {
+            assert_eq!(lane(&wide(500, base)), "radix", "base {base}");
+        }
+        let mut xs = wide(500, -1e8);
+        for i in (0..500).step_by(5) {
+            xs[i] = if i % 3 == 0 { -0.0 } else { 0.0 };
+        }
+        assert_eq!(lane(&xs), "radix");
+        // Non-integral or non-finite values: comparison only.
+        let mut xs = wide(300, 0.0);
+        xs[100] += 0.5;
+        assert_eq!(lane(&xs), "comparison");
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut xs = wide(300, 0.0);
+            xs[150] = bad;
+            assert_eq!(lane(&xs), "comparison", "value {bad}");
+        }
+        // Narrow integral spans count, offset or not.
+        assert_eq!(lane(&random_vec(1000, 400, 3)), "counting");
+        let offset: Vec<f64> = random_vec(1000, 400, 4).iter().map(|v| v - 1e6).collect();
+        assert_eq!(lane(&offset), "counting");
+    }
+
+    #[test]
+    fn radix_lane_matches_pair_sort() {
+        // Wide integral span, negative offset, signed zeros, ties.
+        let mut state = 91u64;
+        let mut xs: Vec<f64> = (0..500)
+            .map(|_| (lcg(&mut state) % 3_000_000_000) as f64 - 1e9)
+            .collect();
+        for i in (0..500).step_by(7) {
+            xs[i] = if i % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        for i in (3..500).step_by(11) {
+            xs[i] = xs[i - 3];
+        }
+        let (min, max) = xs
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &v| {
+                (a.min(v), b.max(v))
+            });
+        let (mut order, mut ranks, mut ties) = (Vec::new(), Vec::new(), Vec::new());
+        assert!(rank_radix(&xs, min, max, &mut order, &mut ranks, &mut ties));
+        let mut kv = Vec::new();
+        stable_value_sort(&xs, &mut kv);
+        let (mut ranks_ref, mut ties_ref) = (Vec::new(), Vec::new());
+        ranks_from_sorted_pairs(&kv, &mut ranks_ref, &mut ties_ref);
+        assert_eq!(order, kv.iter().map(|p| p.1).collect::<Vec<u32>>());
+        assert_eq!(ranks, ranks_ref);
+        assert_eq!(ties, ties_ref);
+        // Too short, or a span of 2^32: the lane declines.
+        assert!(!rank_radix(
+            &xs[..8],
+            min,
+            max,
+            &mut order,
+            &mut ranks,
+            &mut ties
+        ));
+        assert!(!rank_radix(
+            &xs, 0.0, RADIX_SPAN, &mut order, &mut ranks, &mut ties
+        ));
+        // Long enough for the LSD passes: same artifacts as the pair sort.
+        let long: Vec<f64> = (0..RADIX_LSD_LEN + 37)
+            .map(|_| (lcg(&mut state) % 4_000_000_000) as f64 - 5.0)
+            .collect();
+        let (min, max) = long
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &v| {
+                (a.min(v), b.max(v))
+            });
+        assert!(rank_radix(
+            &long, min, max, &mut order, &mut ranks, &mut ties
+        ));
+        stable_value_sort(&long, &mut kv);
+        ranks_from_sorted_pairs(&kv, &mut ranks_ref, &mut ties_ref);
+        assert_eq!(order, kv.iter().map(|p| p.1).collect::<Vec<u32>>());
+        assert_eq!(ranks, ranks_ref);
+        assert_eq!(ties, ties_ref);
     }
 
     #[test]

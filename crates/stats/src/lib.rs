@@ -59,10 +59,7 @@ pub use acf::{
     significance_bound, significance_bound_effective, CcfSide, CorrelogramError,
 };
 pub use ar::{fit_ar, fit_ar_aic, forecast_rmse, ArModel, ForecastComparison};
-pub use corprofile::{
-    cor_tests_profiled, kendall_profiled, pearson_profiled, spearman_profiled, CorProfile,
-    CorScratch,
-};
+pub use corprofile::{cor_tests_profiled, CorProfile, CorScratch};
 pub use correlation::{kendall, pearson, spearman, CorrelationCoefficient, CorrelationTest};
 pub use descriptive::{
     histogram, mean, median, quantile, std_dev, variance, BoxplotStats, Histogram,

@@ -33,40 +33,47 @@ pub struct RankedSeries {
 /// # Panics
 /// Panics if any value is not finite.
 pub fn rank_series(xs: &[f64]) -> RankedSeries {
-    // Small-domain fast lane first (see `kernels::rank_small_domain`):
-    // integral series with a modest value range — the overwhelmingly common
-    // shape of traffic windows — rank in O(n + range) via a stable counting
-    // sort, bit-identical to the comparison path. A successful detection
-    // also certifies every value finite, so the explicit scan below only
-    // runs on the fallback.
+    use crate::kernels::{self, DomainProbe};
+    // A ladder of three lanes, each chosen from the input alone and each
+    // bit-identical to the comparison sort (see the kernels for the
+    // identity arguments):
+    //
+    // 1. integral values spanning less than max(n, 512): stable counting
+    //    sort in O(n + range) (`kernels::rank_small_domain`), the shape of
+    //    binned traffic windows;
+    // 2. integral values spanning less than 2³², at least `RADIX_MIN_LEN`
+    //    long: packed `(v − min, index)` keys sorted by quicksort or, on
+    //    long series, LSD radix (`kernels::rank_radix`), the shape of raw
+    //    bytes/min device series, seeded with the extremes lane 1's probe
+    //    already folded;
+    // 3. anything else: stable `(value, index)` comparison sort, then one
+    //    sequential tie walk.
+    //
+    // Lane 1's probe certifies every value finite whenever it reports the
+    // series integral, so the explicit finite scan only runs on lane 3.
     let mut order = Vec::new();
     let mut ranks = Vec::new();
-    let mut tie_lens = Vec::new();
-    if crate::kernels::rank_small_domain(xs, &mut order, &mut ranks, &mut tie_lens) {
-        return RankedSeries {
-            order,
-            ranks,
-            ties: tie_lens,
-        };
+    let mut ties = Vec::new();
+    let ranked = match kernels::rank_small_domain(xs, &mut order, &mut ranks, &mut ties) {
+        DomainProbe::Ranked => true,
+        DomainProbe::WideIntegral { min, max } => {
+            kernels::rank_radix(xs, min, max, &mut order, &mut ranks, &mut ties)
+        }
+        DomainProbe::General => {
+            assert!(
+                xs.iter().all(|x| x.is_finite()),
+                "mid_ranks requires finite inputs"
+            );
+            false
+        }
+    };
+    if !ranked {
+        let mut kv = Vec::new();
+        kernels::stable_value_sort(xs, &mut kv);
+        kernels::ranks_from_sorted_pairs(&kv, &mut ranks, &mut ties);
+        order = kv.iter().map(|pair| pair.1).collect();
     }
-    assert!(
-        xs.iter().all(|x| x.is_finite()),
-        "mid_ranks requires finite inputs"
-    );
-    // Stable `(value, index)` sort, then one sequential walk of the sorted
-    // values (see the `kernels` module): the same permutation, mid-ranks
-    // and tie groups as the old index sort — equal values keep input order
-    // under both — but the sort compares sequential keys instead of
-    // chasing indices through `xs`, and the tie walk never gathers.
-    let mut kv = Vec::new();
-    crate::kernels::stable_value_sort(xs, &mut kv);
-    crate::kernels::ranks_from_sorted_pairs(&kv, &mut ranks, &mut tie_lens);
-    let order: Vec<u32> = kv.iter().map(|pair| pair.1).collect();
-    RankedSeries {
-        order,
-        ranks,
-        ties: tie_lens,
-    }
+    RankedSeries { order, ranks, ties }
 }
 
 /// Mid-ranks and tie-group sizes of `xs` from a single sort.

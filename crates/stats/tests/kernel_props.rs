@@ -1,7 +1,7 @@
 //! Property tests for the `kernels` layer: the fast lanes must never
 //! silently diverge from the exact paths they replace.
 //!
-//! Four contracts are pinned here:
+//! Six contracts are pinned here:
 //!
 //! 1. the moment folds ([`mean_and_sxx`], [`mean_and_sxx_welford`]) stay
 //!    within analytic error bounds of the Kahan-compensated reference on
@@ -10,23 +10,31 @@
 //!    against the exact `f64` comparison — near-threshold cases must come
 //!    back [`FastDecision::Reverify`], everything else must agree;
 //! 3. the Kendall tie-run refinement (exercised through
-//!    [`kendall_profiled`]) matches a naive O(n²) concordance count on
+//!    [`cor_tests_profiled`]) matches a naive O(n²) concordance count on
 //!    every tie shape — all-tied heads and tails, singleton runs, and runs
 //!    spanning the merge kernel's chunk boundary;
 //! 4. the small-domain counting lanes behind [`rank_series`] and
 //!    [`count_inversions`], and the strided KS sup-scan, are bit-identical
 //!    to their comparison-based fallbacks on inputs that straddle the lane
 //!    boundary (negatives, offsets past the fused probe's window,
-//!    `-0.0`/`0.0` mixes, non-integral values).
+//!    `-0.0`/`0.0` mixes, non-integral values);
+//! 5. the wide-span integral lanes — the radix ranks behind
+//!    [`rank_series`] and the rank-key Kendall count behind
+//!    [`cor_tests_profiled`] — are bit-identical to the comparison sort and
+//!    to from-scratch [`kendall`] across the length cutoff, the 2³² span
+//!    gate, signed zeros and all three mask tiers (which lane a series
+//!    takes is pinned by the `kernels` unit tests);
+//! 6. the selection-based [`BoxplotStats::from_samples`] and [`quantile`]
+//!    match a sort-based reference in every field, bit for bit.
 
 use proptest::prelude::*;
-use wtts_stats::corprofile::{kendall_profiled, CorProfile, CorScratch};
+use wtts_stats::corprofile::{cor_tests_profiled, CorProfile, CorScratch};
 use wtts_stats::kernels::{
     count_inversions, f32_lane_band, fast_lane_decision, ks_sup_scan, ks_sup_scan_reference,
     mean_and_sxx, mean_and_sxx_kahan, mean_and_sxx_welford, pearson_r_f32, ranks_from_sorted_pairs,
     stable_value_sort, sxy_fold, FastDecision,
 };
-use wtts_stats::rank_series;
+use wtts_stats::{kendall, quantile, rank_series, BoxplotStats};
 
 // ---------------------------------------------------------------------------
 // Shared references
@@ -100,11 +108,35 @@ fn assert_rank_matches(xs: &[f64], label: &str) {
     assert_eq!(ranked.ties, ties_ref, "ties: {label}");
 }
 
+/// The profiled Kendall test is bit-identical to from-scratch [`kendall`]
+/// and agrees with the naive τ-b over the pairwise-complete observations.
 fn assert_kendall_matches(xs: &[f64], ys: &[f64], label: &str) {
     let (a, b) = (CorProfile::new(xs), CorProfile::new(ys));
     let mut scratch = CorScratch::new();
-    let fast = kendall_profiled(&a, &b, &mut scratch);
-    let naive = naive_tau_b(xs, ys);
+    let (_, _, fast) = cor_tests_profiled(&a, &b, &mut scratch);
+    let reference = kendall(xs, ys);
+    assert_eq!(fast.n, reference.n, "n: {label}");
+    assert_eq!(
+        fast.value.to_bits(),
+        reference.value.to_bits(),
+        "tau: {label}"
+    );
+    assert_eq!(
+        fast.p_value.to_bits(),
+        reference.p_value.to_bits(),
+        "p: {label}"
+    );
+    let (cx, cy): (Vec<f64>, Vec<f64>) = xs
+        .iter()
+        .zip(ys)
+        .filter(|(x, y)| x.is_finite() && y.is_finite())
+        .map(|(&x, &y)| (x, y))
+        .unzip();
+    if cx.len() < 3 {
+        assert_eq!(fast.value, 0.0, "too few pairs: {label}");
+        return;
+    }
+    let naive = naive_tau_b(&cx, &cy);
     if naive.is_nan() {
         // Degenerate convention: value 0.0, p 1.0 (CorrelationTest::degenerate).
         assert_eq!(fast.value, 0.0, "degenerate tau convention: {label}");
@@ -253,6 +285,278 @@ fn rank_range_boundary() {
 }
 
 // ---------------------------------------------------------------------------
+// Wide-span integral lanes: radix ranks and rank-key Kendall counts
+// ---------------------------------------------------------------------------
+
+/// Deterministic wide-span integral series: raw bytes/min scale values
+/// (span ≫ n) from a xorshift stream, with every `tie_every`-th value a
+/// repeat of an earlier one.
+fn wide_series(n: usize, span: u64, base: f64, tie_every: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed | 1;
+    let mut out: Vec<f64> = Vec::with_capacity(n);
+    for i in 0..n {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        if tie_every > 0 && i >= 3 && i % tie_every == 0 {
+            out.push(out[i - 3]);
+        } else {
+            out.push(base + (state % span) as f64);
+        }
+    }
+    out
+}
+
+/// The length cutoff: short wide series keep the comparison sort, longer
+/// ones take the radix lane (sorted by quicksort, or by LSD radix passes
+/// from ~8k points), and all match the reference.
+#[test]
+fn radix_lengths_straddle_the_cutoff() {
+    for n in [2usize, 8, 15, 16, 17, 31, 32, 64, 1000, 8191, 8192, 9001] {
+        let xs = wide_series(n, 300_000_000, 0.0, 5, n as u64);
+        assert_rank_matches(&xs, &format!("wide n={n}"));
+    }
+}
+
+/// Span 2³² − 1 is the widest the radix lane takes; span 2³² falls back.
+/// Both match the reference.
+#[test]
+fn radix_span_gate() {
+    let top = 4_294_967_295.0;
+    for span in [top, top + 1.0] {
+        for (n, base) in [
+            (300, 0.0),
+            (300, -2_000_000_000.0),
+            (300, 1e15),
+            (9000, -7.0),
+        ] {
+            let mut xs = wide_series(n, 1 << 31, base, 4, 7);
+            xs[17] = base;
+            xs[230] = base + span;
+            assert_rank_matches(&xs, &format!("span {span} base {base}"));
+        }
+    }
+}
+
+/// Negative and offset minima, and signed zeros inside a wide span: equal
+/// values (both zeros included) keep input order.
+#[test]
+fn radix_offsets_and_signed_zeros() {
+    for n in [500, 10_000] {
+        for base in [-3e8, -1.5e8, 7e9, 2f64.powi(60)] {
+            let xs = wide_series(n, 300_000_000, base, 3, 11);
+            assert_rank_matches(&xs, &format!("n {n} base {base}"));
+        }
+        let mut xs = wide_series(n, 300_000_000, -1e8, 6, 13);
+        for i in (0..n).step_by(5) {
+            xs[i] = if i % 3 == 0 { -0.0 } else { 0.0 };
+        }
+        assert_rank_matches(&xs, &format!("n {n}: signed zeros in a wide span"));
+    }
+}
+
+/// Non-integral wide input takes the comparison fallback and matches too.
+#[test]
+fn wide_non_integral_input_matches() {
+    let mut xs = wide_series(300, 300_000_000, 0.0, 4, 17);
+    xs[100] += 0.5;
+    assert_rank_matches(&xs, "non-integral wide");
+}
+
+/// NaN in a wide integral series still panics, as on every lane.
+#[test]
+#[should_panic(expected = "finite inputs")]
+fn radix_input_with_nan_panics() {
+    let mut xs = wide_series(300, 300_000_000, 0.0, 4, 19);
+    xs[150] = f64::NAN;
+    let _ = rank_series(&xs);
+}
+
+/// ±∞ in a wide integral series panics too.
+#[test]
+#[should_panic(expected = "finite inputs")]
+fn radix_input_with_infinity_panics() {
+    let mut xs = wide_series(300, 300_000_000, 0.0, 4, 23);
+    xs[10] = f64::INFINITY;
+    let _ = rank_series(&xs);
+}
+
+/// Rank-key Kendall on wide pairs with x-, y- and joint ties, in all three
+/// mask tiers of `cor_tests_profiled`: equal masks, one mask inside the
+/// other, incomparable masks.
+#[test]
+fn rank_key_kendall_wide_pairs_all_tiers() {
+    let n = 700;
+    let xs = wide_series(n, 300_000_000, 0.0, 3, 29);
+    let mut ys = wide_series(n, 200_000_000, -5e7, 4, 31);
+    // Joint ties: where x repeats, repeat y with the same lag.
+    for i in (3..n).step_by(6) {
+        ys[i] = ys[i - 3];
+    }
+    let hole = |v: &[f64], every: usize, phase: usize| -> Vec<f64> {
+        v.iter()
+            .enumerate()
+            .map(|(i, &x)| if i % every == phase { f64::NAN } else { x })
+            .collect()
+    };
+    assert_kendall_matches(&xs, &ys, "equal masks, complete");
+    assert_kendall_matches(&hole(&xs, 9, 2), &hole(&ys, 9, 2), "equal masks, holey");
+    assert_kendall_matches(&xs, &hole(&ys, 7, 1), "subset mask (y narrower)");
+    assert_kendall_matches(&hole(&xs, 5, 0), &ys, "subset mask (x narrower)");
+    assert_kendall_matches(&hole(&xs, 5, 0), &hole(&ys, 7, 3), "incomparable masks");
+    // A long x-tie run (idle minutes) forces the large-run refinement.
+    let mut idle = xs.clone();
+    for v in idle.iter_mut().step_by(2) {
+        *v = 0.0;
+    }
+    assert_kendall_matches(&idle, &ys, "long x-tie run");
+    assert_kendall_matches(&ys, &idle, "long y-tie run");
+}
+
+// ---------------------------------------------------------------------------
+// Selection-based order statistics (boxplot whiskers and quantiles)
+// ---------------------------------------------------------------------------
+
+/// The sort-based type-7 quantile the selection path replaced.
+fn quantile_sorted_reference(sorted: &[f64], q: f64) -> f64 {
+    let n = sorted.len();
+    if n == 1 {
+        return sorted[0];
+    }
+    let h = q * (n - 1) as f64;
+    let lo = h.floor() as usize;
+    let hi = h.ceil() as usize;
+    if lo == hi {
+        sorted[lo]
+    } else {
+        sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
+    }
+}
+
+fn sorted_finite(xs: &[f64]) -> Vec<f64> {
+    let mut v: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v
+}
+
+/// The sort-based boxplot the selection path replaced.
+fn boxplot_reference(xs: &[f64]) -> Option<BoxplotStats> {
+    let v = sorted_finite(xs);
+    if v.is_empty() {
+        return None;
+    }
+    let q1 = quantile_sorted_reference(&v, 0.25);
+    let q3 = quantile_sorted_reference(&v, 0.75);
+    let iqr = q3 - q1;
+    let hi_fence = q3 + 1.5 * iqr;
+    let lo_fence = q1 - 1.5 * iqr;
+    let upper_whisker = v.iter().copied().rfind(|&x| x <= hi_fence).unwrap_or(q3);
+    let lower_whisker = v.iter().copied().find(|&x| x >= lo_fence).unwrap_or(q1);
+    Some(BoxplotStats {
+        min: v[0],
+        q1,
+        median: quantile_sorted_reference(&v, 0.5),
+        q3,
+        max: v[v.len() - 1],
+        upper_whisker,
+        lower_whisker,
+        upper_outliers: v.iter().filter(|&&x| x > upper_whisker).count(),
+        lower_outliers: v.iter().filter(|&&x| x < lower_whisker).count(),
+        n: v.len(),
+    })
+}
+
+fn assert_boxplot_matches(xs: &[f64], label: &str) {
+    let got = BoxplotStats::from_samples(xs);
+    let want = boxplot_reference(xs);
+    let (Some(got), Some(want)) = (got, want) else {
+        assert_eq!(got.is_none(), want.is_none(), "presence: {label}");
+        return;
+    };
+    let bits = |b: &BoxplotStats| {
+        [
+            b.min,
+            b.q1,
+            b.median,
+            b.q3,
+            b.max,
+            b.upper_whisker,
+            b.lower_whisker,
+        ]
+        .map(f64::to_bits)
+    };
+    assert_eq!(bits(&got), bits(&want), "fields: {label}");
+    assert_eq!(
+        (got.upper_outliers, got.lower_outliers, got.n),
+        (want.upper_outliers, want.lower_outliers, want.n),
+        "counts: {label}"
+    );
+    let sorted = sorted_finite(xs);
+    for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
+        assert_eq!(
+            quantile(xs, q).to_bits(),
+            quantile_sorted_reference(&sorted, q).to_bits(),
+            "quantile {q}: {label}"
+        );
+    }
+}
+
+/// Every short length, all-equal inputs, heavy ties, signed-zero mixes
+/// and non-finite holes.
+#[test]
+fn boxplot_selection_matches_sort_reference() {
+    let nan = f64::NAN;
+    let inf = f64::INFINITY;
+    let cases: Vec<(&str, Vec<f64>)> = vec![
+        ("empty", vec![]),
+        ("all missing", vec![nan, inf, -inf]),
+        ("n=1", vec![4.0]),
+        ("n=2", vec![9.0, -1.0]),
+        ("n=3", vec![3.0, 1.0, 2.0]),
+        ("n=4", vec![4.0, 1.0, 3.0, 2.0]),
+        ("n=5", vec![5.0, 1.0, 4.0, 2.0, 3.0]),
+        ("all equal", vec![7.0; 9]),
+        ("all zero, mixed signs", vec![0.0, -0.0, -0.0, 0.0, -0.0]),
+        ("all negative zero", vec![-0.0; 6]),
+        (
+            "heavy ties",
+            vec![1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 50.0, 1.0, 2.0],
+        ),
+        (
+            "zero quartiles with signs",
+            vec![0.0, -0.0, 5.0, -0.0, 0.0, 0.0, -0.0, 9000.0, -0.0, 0.0, 3.0],
+        ),
+        ("negative zero max", vec![-5.0, -0.0, -3.0, 0.0, -0.0]),
+        ("negative zero min", vec![-0.0, 2.0, 0.0, 3.0, -0.0, 1.0]),
+        (
+            "holes",
+            vec![nan, 3.0, inf, -0.0, 8.0, nan, 0.0, -inf, 2.0, 1e9],
+        ),
+        (
+            "outliers both sides",
+            vec![-1e9, 1.0, 2.0, 3.0, 2.0, 1.0, 4.0, 1e9],
+        ),
+    ];
+    for (label, xs) in &cases {
+        assert_boxplot_matches(xs, label);
+    }
+    // Every length 1..=5 over every sign pattern of zeros and ones.
+    for n in 1..=5usize {
+        for pattern in 0..3usize.pow(n as u32) {
+            let mut p = pattern;
+            let xs: Vec<f64> = (0..n)
+                .map(|_| {
+                    let v = [0.0, -0.0, 1.0][p % 3];
+                    p /= 3;
+                    v
+                })
+                .collect();
+            assert_boxplot_matches(&xs, &format!("pattern {pattern} n={n}"));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Property tests
 // ---------------------------------------------------------------------------
 
@@ -374,6 +678,73 @@ proptest! {
         let mut tmp = Vec::new();
         prop_assert_eq!(count_inversions(&mut v, &mut tmp), expected);
         prop_assert!(v.windows(2).all(|w| w[0] <= w[1]), "output must be sorted");
+    }
+
+    /// `rank_series` on wide-span integral series (radix lane above the
+    /// length cutoff, comparison sort below) is bit-identical to the
+    /// pair-sort reference.
+    #[test]
+    fn radix_rank_lane_agrees(
+        pool in prop::collection::vec(-300_000_000i64..300_000_000, 1..40),
+        picks in prop::collection::vec(0usize..1000, 0..400),
+        zeros in prop::collection::vec(0u8..4, 0..400),
+    ) {
+        // Drawing from a small pool of wide values makes ties common.
+        let xs: Vec<f64> = picks
+            .iter()
+            .zip(zeros.iter().chain(std::iter::repeat(&3)))
+            .map(|(&k, &z)| match z {
+                0 => 0.0,
+                1 => -0.0,
+                _ => pool[k % pool.len()] as f64,
+            })
+            .collect();
+        assert_rank_matches(&xs, "wide pool");
+    }
+
+    /// Rank-key Kendall on wide-range integral pairs with ties on both
+    /// sides, through every mask tier, against from-scratch `kendall` and
+    /// the naive τ-b.
+    #[test]
+    fn rank_key_kendall_agrees(
+        pairs in prop::collection::vec((0usize..12, 0usize..12, 0u8..10), 3..150),
+        scale in 1_000i64..300_000_000,
+    ) {
+        let wide = |k: usize| (k as i64 * scale - 5 * scale) as f64;
+        let xs: Vec<f64> = pairs.iter().map(|p| wide(p.0)).collect();
+        let ys: Vec<f64> = pairs.iter().map(|p| wide(p.1)).collect();
+        // Hole code: 0 = x missing, 1 = y missing, 2 = both, else none.
+        let mask = |v: &[f64], side: u8| -> Vec<f64> {
+            v.iter()
+                .zip(&pairs)
+                .map(|(&x, p)| if p.2 == side || p.2 == 2 { f64::NAN } else { x })
+                .collect()
+        };
+        assert_kendall_matches(&xs, &ys, "complete");
+        assert_kendall_matches(&mask(&xs, 0), &mask(&ys, 0), "x holes on both");
+        assert_kendall_matches(&xs, &mask(&ys, 1), "subset");
+        assert_kendall_matches(&mask(&xs, 0), &mask(&ys, 1), "incomparable");
+    }
+
+    /// Selection-based boxplot and quantiles equal the sort-based
+    /// reference on tied, signed-zero, holey samples.
+    #[test]
+    fn boxplot_selection_agrees(
+        codes in prop::collection::vec(0u8..12, 0..120),
+        spread in 1.0f64..1e6,
+    ) {
+        let xs: Vec<f64> = codes
+            .iter()
+            .map(|&c| match c {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::NAN,
+                3 => f64::INFINITY,
+                4 => spread * 40.0,
+                _ => (c as f64 - 7.0) * spread,
+            })
+            .collect();
+        assert_boxplot_matches(&xs, "proptest sample");
     }
 
     /// The strided, integer-gated KS sup-scan is bit-identical to the

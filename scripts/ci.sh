@@ -2,8 +2,8 @@
 # CI gate: formatting, lints (warnings denied), build, the full test
 # suite, bench smokes (bit-identity + observability conservation), and the
 # unified perf-budget gate (scripts/perf_gate.py) over every committed
-# bench baseline and the in-run durability-tax ratio the durable smoke
-# measures. Run from anywhere inside the repository.
+# bench baseline and the in-run ratios the durable and kernels smokes
+# measure. Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -107,7 +107,11 @@ PY
 python3 scripts/perf_gate.py --only lag_search
 
 echo "== kernels bench (smoke) =="
+# Asserts every kernel bit-identical to its frozen baseline, then times the
+# wide-span rank and Kendall lanes against the comparison paths they bypass
+# in this process and writes the ratios to target/perf/kernels_smoke.json.
 cargo bench -p wtts-bench --bench kernels -- --smoke
+python3 scripts/perf_gate.py --only kernels_smoke
 python3 scripts/perf_gate.py --only kernels
 
 echo "== dominance bench (smoke) =="
