@@ -21,8 +21,7 @@
 //!
 //! `--smoke` runs a fast pass over a small series and asserts bit-identity
 //! plus the observability conservation laws, without touching the committed
-//! baseline; `--metrics-json PATH` additionally writes the obs snapshot
-//! (used by `scripts/ci.sh`).
+//! baseline.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use std::time::Instant;
@@ -278,8 +277,8 @@ fn write_baseline() {
 
 /// CI smoke: a two-week series over the paper's daily candidates, with
 /// bit-identity against the legacy path and the observability conservation
-/// laws asserted. `--metrics-json PATH` writes the obs snapshot.
-fn smoke(metrics_json: Option<&str>) {
+/// laws asserted.
+fn smoke() {
     let series = gateway_series(2);
     let candidates = Granularity::daily_candidates();
     let start = Instant::now();
@@ -290,42 +289,37 @@ fn smoke(metrics_json: Option<&str>) {
     assert_bit_identical(&sweep, &reference);
 
     let snapshot = obs.snapshot();
-    assert!(snapshot.conserved(), "stage books must balance");
-    assert!(snapshot.quiescent(), "no span may be left open");
-    let rebins = snapshot.counter("rebins_pyramid") + snapshot.counter("rebins_direct");
+    let failed = snapshot.check_laws();
+    assert!(failed.is_empty(), "obs laws broken: {failed:?}");
     assert_eq!(
-        rebins,
+        snapshot.rebin.entered,
         candidates.len() as u64,
         "every candidate is one rebin"
     );
     assert!(
-        snapshot.counter("rebins_pyramid") > 0,
+        snapshot.rebins_pyramid > 0,
         "integer series must engage the pyramid"
     );
+    for (name, stage) in [
+        ("pyramid_build", &snapshot.pyramid_build),
+        ("window_score", &snapshot.window_score),
+    ] {
+        assert!(stage.entered > 0, "stage {name} never ran");
+    }
     println!(
         "granularity_sweep smoke: {} candidates, {} pyramid rebins, {} level folds, bit-identical in {:.2?}",
         candidates.len(),
-        snapshot.counter("rebins_pyramid"),
-        snapshot.counter("level_folds"),
+        snapshot.rebins_pyramid,
+        snapshot.level_folds,
         start.elapsed(),
     );
-    if let Some(path) = metrics_json {
-        std::fs::write(path, snapshot.to_json()).expect("write metrics json");
-        println!("metrics written to {path}");
-    }
 }
 
 criterion_group!(benches, bench_granularity_sweep);
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        let metrics_json = args
-            .iter()
-            .position(|a| a == "--metrics-json")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str);
-        smoke(metrics_json);
+    if std::env::args().any(|a| a == "--smoke") {
+        smoke();
         return;
     }
     benches();

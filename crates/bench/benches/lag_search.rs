@@ -19,9 +19,8 @@
 //!
 //! `--smoke` runs a small grid asserting the conservation law
 //! `pruned + evaluated == cells` (from both `LagPruneStats` and the obs
-//! counters), dense bit-identity against the naive reference and zero
-//! false dismissals at φ; `--metrics-json PATH` additionally writes the
-//! obs snapshot (used by `scripts/ci.sh`).
+//! snapshot's `check_laws`), dense bit-identity against the naive
+//! reference and zero false dismissals at φ.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use std::time::Instant;
@@ -258,10 +257,9 @@ fn write_baseline() {
 }
 
 /// CI smoke: a small grid with observability on — conservation (stats and
-/// obs counters), dense bit-identity, zero false dismissals at φ and a
-/// non-trivial prune rate asserted. `--metrics-json PATH` writes the obs
-/// snapshot.
-fn smoke(metrics_json: Option<&str>) {
+/// obs laws), dense bit-identity, zero false dismissals at φ and a
+/// non-trivial prune rate asserted.
+fn smoke() {
     let series = fleet(8);
     let start = Instant::now();
 
@@ -282,17 +280,9 @@ fn smoke(metrics_json: Option<&str>) {
     );
 
     let snapshot = obs.snapshot();
-    assert!(snapshot.conserved(), "stage books must balance");
-    assert!(snapshot.quiescent(), "no span may be left open");
-    assert_eq!(snapshot.counter("lag_cells_total"), stats.cells_total);
-    assert_eq!(
-        snapshot.counter("lag_cells_pruned_degenerate")
-            + snapshot.counter("lag_cells_pruned_sketch")
-            + snapshot.counter("lag_cells_pruned_energy")
-            + snapshot.counter("lag_cells_evaluated"),
-        snapshot.counter("lag_cells_total"),
-        "obs cell books must balance"
-    );
+    let failed = snapshot.check_laws();
+    assert!(failed.is_empty(), "obs laws broken: {failed:?}");
+    assert_eq!(snapshot.lag_cells_total, stats.cells_total);
 
     println!(
         "lag_search smoke: {} series, {} of {} cells evaluated (prune rate {:.3}), bit-identical in {:.2?}",
@@ -302,23 +292,13 @@ fn smoke(metrics_json: Option<&str>) {
         stats.prune_rate(),
         start.elapsed(),
     );
-    if let Some(path) = metrics_json {
-        std::fs::write(path, snapshot.to_json()).expect("write metrics json");
-        println!("metrics written to {path}");
-    }
 }
 
 criterion_group!(benches, bench_lag_search);
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        let metrics_json = args
-            .iter()
-            .position(|a| a == "--metrics-json")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str);
-        smoke(metrics_json);
+    if std::env::args().any(|a| a == "--smoke") {
+        smoke();
         return;
     }
     benches();

@@ -22,9 +22,8 @@
 //!
 //! `--smoke` runs a 2k-gateway pass asserting prune rate ≥ 0.90 at φ = 0.6,
 //! the conservation law `pairs_pruned + pairs_evaluated == pairs_total`
-//! (from both `PruneStats` and the obs counters) and bit-identity against
-//! the dense matrix; `--metrics-json PATH` additionally writes the obs
-//! snapshot (used by `scripts/ci.sh`).
+//! (from both `PruneStats` and the obs snapshot's `check_laws`) and
+//! bit-identity against the dense matrix.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use std::time::Instant;
@@ -231,9 +230,8 @@ fn write_baseline() {
 }
 
 /// CI smoke: 2k gateways at φ = 0.6 with observability on — prune rate,
-/// conservation (stats and obs counters) and bit-identity asserted.
-/// `--metrics-json PATH` writes the obs snapshot.
-fn smoke(metrics_json: Option<&str>) {
+/// conservation (stats and obs laws) and bit-identity asserted.
+fn smoke() {
     let n = 2_000;
     let windows = population(n);
     let start = Instant::now();
@@ -252,16 +250,9 @@ fn smoke(metrics_json: Option<&str>) {
     assert_eq!(sparse.evaluated_pairs() as u64, stats.pairs_evaluated);
 
     let snapshot = obs.snapshot();
-    assert!(snapshot.conserved(), "stage books must balance");
-    assert!(snapshot.quiescent(), "no span may be left open");
-    assert_eq!(
-        snapshot.counter("pairs_pruned_degenerate")
-            + snapshot.counter("pairs_pruned_sax")
-            + snapshot.counter("pairs_pruned_moment")
-            + snapshot.counter("prune_pairs_evaluated"),
-        snapshot.counter("prune_pairs_total"),
-        "obs pair books must balance"
-    );
+    let failed = snapshot.check_laws();
+    assert!(failed.is_empty(), "obs laws broken: {failed:?}");
+    assert_eq!(snapshot.prune_pairs_total, stats.pairs_total);
 
     let reference = dense(&profiles);
     assert_bit_identical(&sparse, &reference, n);
@@ -274,23 +265,13 @@ fn smoke(metrics_json: Option<&str>) {
         stats.prune_rate(),
         start.elapsed(),
     );
-    if let Some(path) = metrics_json {
-        std::fs::write(path, snapshot.to_json()).expect("write metrics json");
-        println!("metrics written to {path}");
-    }
 }
 
 criterion_group!(benches, bench_pruned_pairwise);
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        let metrics_json = args
-            .iter()
-            .position(|a| a == "--metrics-json")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str);
-        smoke(metrics_json);
+    if std::env::args().any(|a| a == "--smoke") {
+        smoke();
         return;
     }
     benches();

@@ -157,9 +157,10 @@ pub fn lag_search_experiment(fleet: &Fleet, out: Option<&Path>) {
     ]);
     t.row(&["total".into(), stats.cells_total.to_string(), pct(1.0)]);
     t.emit(out);
+    let failed = snap.check_laws();
     assert!(
-        stats.conserved() && snap.conserved(),
-        "prune conservation law violated: {stats:?}"
+        stats.conserved() && failed.is_empty(),
+        "prune conservation laws broken: {stats:?}, {failed:?}"
     );
     println!(
         "conservation holds: {} pruned + {} evaluated == {} cells (obs counters agree)",

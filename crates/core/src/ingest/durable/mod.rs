@@ -56,7 +56,8 @@
 //!    deterministic metrics projection equal an uninterrupted run's.
 //! 3. *Conservation*: `ingested + dropped + wal_lost_records == offered`
 //!    and `wal_records + wal_gap_records + wal_lost_records == offered`
-//!    at quiescence, under any seeded fault schedule.
+//!    at quiescence, under any seeded fault schedule — with the other
+//!    declared laws, [`MetricsSnapshot::check_laws`] finds none broken.
 //!
 //! Sequence numbers are global (1-based, assigned by the producer in
 //! stream order), so each shard's log holds a strictly increasing
@@ -277,42 +278,6 @@ pub(crate) fn config_fingerprint(config: &IngestConfig, n_templates: usize) -> u
     acc
 }
 
-fn encode_counts(buf: &mut Vec<u8>, c: &ShardCounts) {
-    for v in [
-        c.ingested,
-        c.baselines,
-        c.reset_spanning_gaps,
-        c.counter_resets,
-        c.dropped_late,
-        c.dropped_duplicate,
-        c.dropped_future_jump,
-        c.windows_sealed,
-        c.windows_matched,
-        c.windows_novel,
-        c.windows_insufficient,
-        c.partial_windows,
-    ] {
-        put_u64(buf, v);
-    }
-}
-
-fn decode_counts(cur: &mut Cursor) -> io::Result<ShardCounts> {
-    Ok(ShardCounts {
-        ingested: cur.u64()?,
-        baselines: cur.u64()?,
-        reset_spanning_gaps: cur.u64()?,
-        counter_resets: cur.u64()?,
-        dropped_late: cur.u64()?,
-        dropped_duplicate: cur.u64()?,
-        dropped_future_jump: cur.u64()?,
-        windows_sealed: cur.u64()?,
-        windows_matched: cur.u64()?,
-        windows_novel: cur.u64()?,
-        windows_insufficient: cur.u64()?,
-        partial_windows: cur.u64()?,
-    })
-}
-
 fn encode_baseline(buf: &mut Vec<u8>, b: Option<(Minute, u64, u64)>) {
     match b {
         None => buf.push(0),
@@ -467,7 +432,9 @@ pub(crate) fn encode_state(state: &ShardState) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u64(&mut buf, state.last_seq);
     put_u64(&mut buf, state.processed);
-    encode_counts(&mut buf, &state.counts);
+    for v in state.counts.values() {
+        put_u64(&mut buf, v);
+    }
     put_u64(&mut buf, state.lanes.len() as u64);
     for lane in state.lanes.values() {
         encode_lane(&mut buf, lane);
@@ -479,7 +446,7 @@ fn decode_state(bytes: &[u8], config: &IngestConfig, n_templates: usize) -> io::
     let mut cur = Cursor::new(bytes);
     let last_seq = cur.u64()?;
     let processed = cur.u64()?;
-    let counts = decode_counts(&mut cur)?;
+    let counts = ShardCounts::try_from_values(|| cur.u64())?;
     let n_lanes = cur.len(64)?;
     let mut lanes = BTreeMap::new();
     for _ in 0..n_lanes {
@@ -949,7 +916,7 @@ impl ShardDurability {
 
     fn note_gap(&self, n: u64) {
         if n > 0 {
-            self.metrics.wal_gap_records.fetch_add(n, Ordering::Relaxed);
+            self.metrics.wal_gap_records.add(n);
         }
     }
 
@@ -1035,13 +1002,11 @@ impl ShardDurability {
         let io = self.io.clone();
         let fs = Arc::clone(&self.fs);
         let (created, retries) = with_retry(&io, || fs.create(&path));
-        self.metrics
-            .wal_io_retries
-            .fetch_add(retries, Ordering::Relaxed);
+        self.metrics.wal_io_retries.add(retries);
         let mut file = match created {
             Ok(f) => f,
             Err(_) => {
-                self.metrics.wal_io_gave_up.fetch_add(1, Ordering::Relaxed);
+                self.metrics.wal_io_gave_up.incr();
                 self.enter_degraded(0);
                 return;
             }
@@ -1056,22 +1021,18 @@ impl ShardDurability {
                 )),
                 other => other,
             });
-            self.metrics
-                .wal_io_retries
-                .fetch_add(retries, Ordering::Relaxed);
+            self.metrics.wal_io_retries.add(retries);
             match res {
                 Ok(n) => off += n,
                 Err(_) => {
-                    self.metrics.wal_io_gave_up.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.wal_io_gave_up.incr();
                     let _ = fs.remove(&path);
                     self.enter_degraded(0);
                     return;
                 }
             }
         }
-        self.metrics
-            .wal_segments_created
-            .fetch_add(1, Ordering::Relaxed);
+        self.metrics.wal_segments_created.incr();
         self.active = Some(ActiveSegment {
             file,
             path,
@@ -1128,9 +1089,7 @@ impl ShardDurability {
                 )),
                 other => other,
             });
-            self.metrics
-                .wal_io_retries
-                .fetch_add(retries, Ordering::Relaxed);
+            self.metrics.wal_io_retries.add(retries);
             match res {
                 Ok(n) => off += n,
                 Err(error) => {
@@ -1142,8 +1101,8 @@ impl ShardDurability {
                     let a = self.active.as_mut().expect("active segment");
                     a.flushed_len += off as u64;
                     a.records += whole;
-                    self.metrics.wal_records.fetch_add(whole, Ordering::Relaxed);
-                    self.metrics.wal_io_gave_up.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.wal_records.add(whole);
+                    self.metrics.wal_io_gave_up.incr();
                     self.buf.clear();
                     self.buf_records = 0;
                     return Err(WalGaveUp {
@@ -1160,19 +1119,15 @@ impl ShardDurability {
             a.flushed_len += flushed_bytes;
             a.records += flushed_records;
         }
-        self.metrics
-            .wal_records
-            .fetch_add(flushed_records, Ordering::Relaxed);
+        self.metrics.wal_records.add(flushed_records);
         self.buf.clear();
         self.buf_records = 0;
         if self.fsync {
             let active = self.active.as_mut().expect("active segment");
             let (res, retries) = with_retry(&io, || active.file.sync());
-            self.metrics
-                .wal_io_retries
-                .fetch_add(retries, Ordering::Relaxed);
+            self.metrics.wal_io_retries.add(retries);
             if let Err(error) = res {
-                self.metrics.wal_io_gave_up.fetch_add(1, Ordering::Relaxed);
+                self.metrics.wal_io_gave_up.incr();
                 return Err(WalGaveUp {
                     lost_records: 0,
                     error,
@@ -1248,27 +1203,21 @@ impl ShardDurability {
             }
             Ok(())
         });
-        self.metrics
-            .wal_io_retries
-            .fetch_add(retries, Ordering::Relaxed);
+        self.metrics.wal_io_retries.add(retries);
         if res.is_err() {
-            self.metrics.wal_io_gave_up.fetch_add(1, Ordering::Relaxed);
+            self.metrics.wal_io_gave_up.incr();
             let _ = fs.remove(&tmp);
             return;
         }
         let (res, retries) = with_retry(&io, || fs.rename(&tmp, &self.snap));
-        self.metrics
-            .wal_io_retries
-            .fetch_add(retries, Ordering::Relaxed);
+        self.metrics.wal_io_retries.add(retries);
         if res.is_err() {
-            self.metrics.wal_io_gave_up.fetch_add(1, Ordering::Relaxed);
+            self.metrics.wal_io_gave_up.incr();
             let _ = fs.remove(&tmp);
             return;
         }
         self.last_snapshot_processed = state.processed;
-        self.metrics
-            .snapshots_written
-            .fetch_add(1, Ordering::Relaxed);
+        self.metrics.snapshots_written.incr();
         self.compact(state.last_seq);
     }
 
@@ -1287,16 +1236,14 @@ impl ShardDurability {
                 Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
                 other => other,
             });
-            metrics.wal_io_retries.fetch_add(retries, Ordering::Relaxed);
+            metrics.wal_io_retries.add(retries);
             match res {
                 Ok(()) => {
-                    metrics
-                        .wal_segments_compacted
-                        .fetch_add(1, Ordering::Relaxed);
+                    metrics.wal_segments_compacted.incr();
                     false
                 }
                 Err(_) => {
-                    metrics.wal_io_gave_up.fetch_add(1, Ordering::Relaxed);
+                    metrics.wal_io_gave_up.incr();
                     true
                 }
             }
@@ -1426,7 +1373,7 @@ impl DurablePipeline {
             LockGuard::acquire(Arc::clone(&fs), &durable.dir, fingerprint, durable.takeover)?;
         let metrics = pipeline.metrics();
         if acquired == Acquired::TookOver {
-            metrics.lock_takeovers.fetch_add(1, Ordering::Relaxed);
+            metrics.lock_takeovers.incr();
         }
         // A fresh run owns the directory: clear every durable artifact
         // (never the lock we just wrote).
@@ -1483,7 +1430,7 @@ impl DurablePipeline {
             LockGuard::acquire(Arc::clone(&fs), &durable.dir, fingerprint, durable.takeover)?;
         let metrics = pipeline.metrics();
         if acquired == Acquired::TookOver {
-            metrics.lock_takeovers.fetch_add(1, Ordering::Relaxed);
+            metrics.lock_takeovers.incr();
         }
 
         // Sweep tmp orphans (a crash between snapshot write and rename).
@@ -1492,7 +1439,7 @@ impl DurablePipeline {
             if name.ends_with(".tmp") {
                 match fs.remove(&durable.dir.join(name)) {
                     Ok(()) => {
-                        metrics.snapshot_tmp_swept.fetch_add(1, Ordering::Relaxed);
+                        metrics.snapshot_tmp_swept.incr();
                     }
                     Err(e) if e.kind() == io::ErrorKind::NotFound => {}
                     Err(e) => return Err(DurableError::Io(e)),
@@ -1540,7 +1487,7 @@ impl DurablePipeline {
                     (state, coverage_seq, covered_records, gap)
                 }
                 SnapLoad::Discarded => {
-                    metrics.snapshots_discarded.fetch_add(1, Ordering::Relaxed);
+                    metrics.snapshots_discarded.incr();
                     (ShardState::new(), 0, 0, 0)
                 }
                 SnapLoad::Absent => (ShardState::new(), 0, 0, 0),
@@ -1560,9 +1507,7 @@ impl DurablePipeline {
                         .map_err(DurableError::Io)?;
                     if !scan.header_ok {
                         // A shell without a whole header carries nothing.
-                        metrics
-                            .wal_torn_records
-                            .fetch_add(scan.torn, Ordering::Relaxed);
+                        metrics.wal_torn_records.add(scan.torn);
                         match fs.remove(&path) {
                             Ok(()) | Err(_) => {}
                         }
@@ -1580,9 +1525,7 @@ impl DurablePipeline {
                         state.consume(*seq, report, pipeline.config(), &pipeline.templates);
                         above += 1;
                     }
-                    metrics
-                        .wal_torn_records
-                        .fetch_add(scan.torn, Ordering::Relaxed);
+                    metrics.wal_torn_records.add(scan.torn);
                     if scan.torn > 0 {
                         // Heal the torn tail so future scans are clean.
                         fs.set_len(&path, scan.valid_len)
@@ -1600,9 +1543,7 @@ impl DurablePipeline {
                             // compact it now.
                             match fs.remove(&path) {
                                 Ok(()) => {
-                                    metrics
-                                        .wal_segments_compacted
-                                        .fetch_add(1, Ordering::Relaxed);
+                                    metrics.wal_segments_compacted.incr();
                                 }
                                 Err(e) if e.kind() == io::ErrorKind::NotFound => {}
                                 Err(e) => return Err(DurableError::Io(e)),
@@ -1614,13 +1555,9 @@ impl DurablePipeline {
 
             // Restore the books: everything consumed was offered, and the
             // hole is a typed, counted loss — never silent.
-            metrics
-                .offered
-                .fetch_add(state.processed + gap, Ordering::Relaxed);
-            metrics
-                .wal_records
-                .fetch_add(state.processed, Ordering::Relaxed);
-            metrics.wal_lost_records.fetch_add(gap, Ordering::Relaxed);
+            metrics.offered.add(state.processed + gap);
+            metrics.wal_records.add(state.processed);
+            metrics.wal_lost_records.add(gap);
             metrics.apply(&state.counts);
             metrics.shards[shard]
                 .processed
@@ -1633,7 +1570,7 @@ impl DurablePipeline {
             states.push(state);
             hooks.push(hook);
         }
-        metrics.recoveries.fetch_add(1, Ordering::Relaxed);
+        metrics.recoveries.incr();
         Ok(DurablePipeline {
             pipeline,
             durable,
@@ -1717,8 +1654,7 @@ impl DurablePipeline {
         {
             RunEnd::Completed(summary, digest) => {
                 let m = &self.pipeline.metrics;
-                let gap = m.wal_gap_records.load(Ordering::Relaxed)
-                    + m.wal_lost_records.load(Ordering::Relaxed);
+                let gap = m.wal_gap_records.get() + m.wal_lost_records.get();
                 Ok(DurableRun::Completed {
                     summary,
                     state_digest: digest.expect("durable run always yields a digest"),

@@ -30,7 +30,8 @@
 //! [`IngestOutcome::ResetSpanningGap`] for reports that are accepted but
 //! whose byte delta is unattributable (see [`CounterDelta`]). The
 //! invariant `ingested + dropped == offered` is maintained by construction
-//! and checked by [`MetricsSnapshot::fully_accounted`].
+//! and checked, with the other laws of [`MetricsSnapshot::LAWS`], by
+//! [`MetricsSnapshot::check_laws`].
 //!
 //! **Scale-out.** Gateways are hash-partitioned across worker shards run
 //! under [`std::thread::scope`]; each shard owns its gateways exclusively,
@@ -38,8 +39,10 @@
 //! every shard count*. Queues are bounded — a slow shard back-pressures the
 //! producer instead of buffering unbounded memory.
 //!
-//! **Observability.** All counters live in an atomic [`IngestMetrics`]
-//! registry shared between producer, shards and any monitoring thread;
+//! **Observability.** All counters are declared once, in one ordered
+//! table that generates the atomic [`IngestMetrics`] registry shared
+//! between producer, shards and any monitoring thread, its
+//! [`MetricsSnapshot`] and the per-shard ledger.
 //! [`IngestMetrics::snapshot`] is a handful of relaxed loads and can be
 //! called at any rate while ingest runs. Shard workers classify outcomes
 //! into a plain per-shard [`ShardCounts`] ledger on the hot path and fold
@@ -63,7 +66,7 @@ use std::sync::{Arc, Condvar, Mutex};
 pub mod durable;
 
 use crate::dominance::{rank_dominants, DominantDevice, DOMINANCE_PHI};
-use crate::obs::{Stage, StageSnapshot};
+use crate::obs::{check, Counter, Law, Stage, StageSnapshot};
 use crate::streaming::{best_match, MatchOutcome, MotifTemplate, OnlinePearson, WindowAccumulator};
 use wtts_timeseries::{counter_delta, CounterDelta, CounterReport, Minute, WindowKind};
 
@@ -169,8 +172,8 @@ struct ShardMetrics {
     queue_depth: AtomicUsize,
     queue_peak: AtomicUsize,
     processed: AtomicU64,
-    /// Batch-processing stage: entered/exited/in-flight batches plus a
-    /// log-bucketed latency histogram (one span per popped batch).
+    /// Batch-processing stage: entered/exited batches plus a log-bucketed
+    /// latency histogram (one span per popped batch).
     batch_stage: Stage,
     /// WAL append stage (durable runs): one span per popped batch, logged
     /// whole before any of it is consumed.
@@ -179,40 +182,240 @@ struct ShardMetrics {
     snapshot_write: Stage,
 }
 
-/// The plain (non-atomic) per-shard outcome ledger.
+impl ShardMetrics {
+    fn snapshot(&self) -> ShardSnapshot {
+        ShardSnapshot {
+            queue_depth: self.queue_depth.load(Ordering::Relaxed),
+            queue_peak: self.queue_peak.load(Ordering::Relaxed),
+            processed: self.processed.load(Ordering::Relaxed),
+            batch_stage: self.batch_stage.snapshot(),
+            wal_append: self.wal_append.snapshot(),
+            snapshot_write: self.snapshot_write.snapshot(),
+        }
+    }
+}
+
+/// Declares the ingest counters from one ordered table (the JSON order).
+/// Every entry is a [`Counter`] of [`IngestMetrics`] and a field of
+/// [`MetricsSnapshot`]; its class says where else it lives:
 ///
-/// Shard workers classify every report into this struct on the hot path —
-/// plain `u64` adds, no atomics — and fold the delta into the shared
-/// [`IngestMetrics`] once per batch. Because the ledger is an ordinary
-/// value owned by the shard, it serializes into durable snapshots and
-/// restores exactly, which is what lets a recovered run's metrics books
-/// match an uninterrupted run's bit for bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardCounts {
+/// * `ledger` — classified per report by a shard worker into its plain
+///   [`ShardCounts`], which durable snapshots persist in table order and
+///   `IngestMetrics::apply` folds into the registry once per batch;
+/// * `stream` — counted on the registry by the producer or the WAL; like
+///   the ledger, a pure function of the report stream;
+/// * `durability` — bookkeeping that legitimately differs across a crash,
+///   zeroed by [`MetricsSnapshot::replay_invariant_core`].
+macro_rules! ingest_counters {
+    ($( $(#[$doc:meta])* $class:ident $name:ident, )*) => {
+        /// Atomic metrics registry shared by the producer, every shard worker
+        /// and any observer thread. All updates are relaxed single-counter
+        /// increments; [`IngestMetrics::snapshot`] never blocks ingest.
+        #[derive(Debug)]
+        pub struct IngestMetrics {
+            $( $name: Counter, )*
+            /// WAL-tail replay stage (one span per shard recovered).
+            replay: Stage,
+            shards: Vec<ShardMetrics>,
+        }
+
+        /// Point-in-time copy of the ingest counters.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $( $(#[$doc])* pub $name: u64, )*
+            /// Replay stage counters (one span per shard recovered).
+            pub replay: StageSnapshot,
+            /// Per-shard queue/throughput gauges.
+            pub per_shard: Vec<ShardSnapshot>,
+        }
+
+        impl IngestMetrics {
+            fn new(shards: usize) -> IngestMetrics {
+                IngestMetrics {
+                    $( $name: Counter::new(), )*
+                    replay: Stage::default(),
+                    shards: (0..shards).map(|_| ShardMetrics::default()).collect(),
+                }
+            }
+
+            /// A point-in-time copy of every counter (relaxed loads; cheap
+            /// enough to poll at high rate while ingest runs).
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $name: self.$name.get(), )*
+                    replay: self.replay.snapshot(),
+                    per_shard: self.shards.iter().map(ShardMetrics::snapshot).collect(),
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// The deterministic projection of the snapshot: every field
+            /// that is a pure function of the report stream, with the
+            /// timing-dependent parts (latency histograms, queue gauges) and
+            /// the `durability` counters, which legitimately differ across a
+            /// crash, zeroed out. A recovered run and an uninterrupted run
+            /// over the same stream must agree *exactly* on this projection
+            /// — the headline invariant of [`durable`].
+            pub fn replay_invariant_core(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $name: replay_invariant!($class, self.$name), )*
+                    replay: StageSnapshot::default(),
+                    per_shard: self
+                        .per_shard
+                        .iter()
+                        .map(|s| ShardSnapshot {
+                            processed: s.processed,
+                            ..ShardSnapshot::default()
+                        })
+                        .collect(),
+                }
+            }
+
+            fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$( (stringify!($name), self.$name), )*]
+            }
+        }
+
+        ledger!([] $( $(#[$doc])* $class $name, )*);
+    };
+}
+
+/// A counter's value in [`MetricsSnapshot::replay_invariant_core`].
+macro_rules! replay_invariant {
+    (durability, $value:expr) => {
+        0
+    };
+    (ledger, $value:expr) => {
+        $value
+    };
+    (stream, $value:expr) => {
+        $value
+    };
+}
+
+/// Collects the `ledger` entries of the counter table, in order, and
+/// declares [`ShardCounts`] from them.
+macro_rules! ledger {
+    ([$($kept:tt)*] $(#[$doc:meta])* ledger $name:ident, $($rest:tt)*) => {
+        ledger!([$($kept)* $(#[$doc])* $name,] $($rest)*);
+    };
+    ([$($kept:tt)*] $(#[$doc:meta])* stream $name:ident, $($rest:tt)*) => {
+        ledger!([$($kept)*] $($rest)*);
+    };
+    ([$($kept:tt)*] $(#[$doc:meta])* durability $name:ident, $($rest:tt)*) => {
+        ledger!([$($kept)*] $($rest)*);
+    };
+    ([$( $(#[$doc:meta])* $name:ident, )*]) => {
+        /// The plain (non-atomic) per-shard outcome ledger: the `ledger`
+        /// counters of the table.
+        ///
+        /// Shard workers classify every report into this struct on the hot
+        /// path — plain `u64` adds, no atomics — and fold the delta into the
+        /// shared [`IngestMetrics`] once per batch. Because the ledger is an
+        /// ordinary value owned by the shard, it serializes into durable
+        /// snapshots and restores exactly, which is what lets a recovered
+        /// run's metrics books match an uninterrupted run's bit for bit.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ShardCounts {
+            $( $(#[$doc])* pub $name: u64, )*
+        }
+
+        impl ShardCounts {
+            /// Field-wise difference `self - earlier` (the per-batch delta
+            /// folded into the atomic registry). `earlier` must be a previous
+            /// value of the same ledger, so every field of `self` is `>=` its
+            /// counterpart.
+            fn minus(&self, earlier: &ShardCounts) -> ShardCounts {
+                ShardCounts { $( $name: self.$name - earlier.$name, )* }
+            }
+
+            /// The counters in table order (the durable snapshot codec).
+            pub(crate) fn values(&self) -> impl Iterator<Item = u64> {
+                [$( self.$name ),*].into_iter()
+            }
+
+            /// Rebuilds a ledger from its counters in table order.
+            pub(crate) fn try_from_values<E>(
+                mut next: impl FnMut() -> Result<u64, E>,
+            ) -> Result<ShardCounts, E> {
+                Ok(ShardCounts { $( $name: next()?, )* })
+            }
+        }
+
+        impl IngestMetrics {
+            /// Folds a per-shard ledger delta into the atomic registry.
+            fn apply(&self, d: &ShardCounts) {
+                $( self.$name.add(d.$name); )*
+            }
+        }
+    };
+}
+
+ingest_counters! {
+    /// Reports offered to the pipeline.
+    stream offered,
     /// Reports accepted (including baselines and reset-spanning gaps).
-    pub ingested: u64,
+    ledger ingested,
     /// Accepted reports that only (re-)established a device baseline.
-    pub baselines: u64,
+    ledger baselines,
     /// Accepted reports whose delta was voided by a reset-spanning gap.
-    pub reset_spanning_gaps: u64,
-    /// Adjacent-minute counter resets decoded.
-    pub counter_resets: u64,
+    ledger reset_spanning_gaps,
+    /// Adjacent-minute counter resets decoded (reboot / wrap / rejoin).
+    ledger counter_resets,
     /// Reports dropped as late.
-    pub dropped_late: u64,
+    ledger dropped_late,
     /// Reports dropped as duplicates.
-    pub dropped_duplicate: u64,
+    ledger dropped_duplicate,
     /// Reports dropped as uncorroborated future jumps.
-    pub dropped_future_jump: u64,
-    /// Complete calendar windows sealed.
-    pub windows_sealed: u64,
+    ledger dropped_future_jump,
+    /// Reports rejected because the shard queue was already closed (a
+    /// producer racing shutdown — the typed outcome that replaced a silent
+    /// enqueue-past-close bug; no worker will ever pop them).
+    stream dropped_queue_closed,
+    /// Complete calendar windows sealed across all gateways.
+    ledger windows_sealed,
     /// Sealed windows that matched a motif template.
-    pub windows_matched: u64,
-    /// Sealed windows matching no template.
-    pub windows_novel: u64,
+    ledger windows_matched,
+    /// Sealed windows matching no template (novel behavior).
+    ledger windows_novel,
     /// Sealed windows with too few observations to judge.
-    pub windows_insufficient: u64,
+    ledger windows_insufficient,
     /// Trailing partial windows flushed at end of stream.
-    pub partial_windows: u64,
+    ledger partial_windows,
+    /// Reports appended to the write-ahead log (durable runs only).
+    stream wal_records,
+    /// Torn trailing WAL records discarded during recovery.
+    durability wal_torn_records,
+    /// Reports skipped on a resumed feed because the WAL already held them
+    /// (they were replayed from disk instead of re-offered).
+    durability wal_replayed,
+    /// WAL I/O operations retried after a transient failure.
+    durability wal_io_retries,
+    /// WAL I/O operations abandoned after the retry budget (each entered
+    /// or confirmed the degraded mode of its shard).
+    durability wal_io_gave_up,
+    /// Reports consumed while a shard ran degraded — computed but never
+    /// logged, a typed live durability gap.
+    durability wal_gap_records,
+    /// Reports a recovery proved missing from the log (a hole between
+    /// segment headers, or records only a now-dead snapshot covered).
+    durability wal_lost_records,
+    /// WAL segments opened (rotation included).
+    durability wal_segments_created,
+    /// Snapshot-covered segments deleted by compaction (plus recovery's
+    /// removal of fully-covered segments).
+    durability wal_segments_compacted,
+    /// Durable snapshots written.
+    durability snapshots_written,
+    /// Snapshots discarded at recovery (checksum failure).
+    durability snapshots_discarded,
+    /// Orphaned snapshot temp files swept at recovery.
+    durability snapshot_tmp_swept,
+    /// Stale/corrupt single-writer locks fenced via takeover.
+    durability lock_takeovers,
+    /// Recoveries performed (snapshot load + WAL tail replay).
+    durability recoveries,
 }
 
 impl ShardCounts {
@@ -232,175 +435,10 @@ impl ShardCounts {
             IngestOutcome::Dropped(DropReason::FutureJump) => self.dropped_future_jump += 1,
         }
     }
-
-    /// Field-wise difference `self - earlier` (the per-batch delta folded
-    /// into the atomic registry). `earlier` must be a previous value of the
-    /// same ledger, so every field of `self` is `>=` its counterpart.
-    fn minus(&self, earlier: &ShardCounts) -> ShardCounts {
-        ShardCounts {
-            ingested: self.ingested - earlier.ingested,
-            baselines: self.baselines - earlier.baselines,
-            reset_spanning_gaps: self.reset_spanning_gaps - earlier.reset_spanning_gaps,
-            counter_resets: self.counter_resets - earlier.counter_resets,
-            dropped_late: self.dropped_late - earlier.dropped_late,
-            dropped_duplicate: self.dropped_duplicate - earlier.dropped_duplicate,
-            dropped_future_jump: self.dropped_future_jump - earlier.dropped_future_jump,
-            windows_sealed: self.windows_sealed - earlier.windows_sealed,
-            windows_matched: self.windows_matched - earlier.windows_matched,
-            windows_novel: self.windows_novel - earlier.windows_novel,
-            windows_insufficient: self.windows_insufficient - earlier.windows_insufficient,
-            partial_windows: self.partial_windows - earlier.partial_windows,
-        }
-    }
-}
-
-/// Atomic metrics registry shared by the producer, every shard worker and
-/// any observer thread. All updates are `Relaxed` single-counter increments;
-/// [`IngestMetrics::snapshot`] never blocks ingest.
-#[derive(Debug)]
-pub struct IngestMetrics {
-    offered: AtomicU64,
-    ingested: AtomicU64,
-    baselines: AtomicU64,
-    reset_spanning_gaps: AtomicU64,
-    counter_resets: AtomicU64,
-    dropped_late: AtomicU64,
-    dropped_duplicate: AtomicU64,
-    dropped_future_jump: AtomicU64,
-    dropped_queue_closed: AtomicU64,
-    windows_sealed: AtomicU64,
-    windows_matched: AtomicU64,
-    windows_novel: AtomicU64,
-    windows_insufficient: AtomicU64,
-    partial_windows: AtomicU64,
-    wal_records: AtomicU64,
-    wal_torn_records: AtomicU64,
-    wal_replayed: AtomicU64,
-    wal_io_retries: AtomicU64,
-    wal_io_gave_up: AtomicU64,
-    wal_gap_records: AtomicU64,
-    wal_lost_records: AtomicU64,
-    wal_segments_created: AtomicU64,
-    wal_segments_compacted: AtomicU64,
-    snapshots_written: AtomicU64,
-    snapshots_discarded: AtomicU64,
-    snapshot_tmp_swept: AtomicU64,
-    lock_takeovers: AtomicU64,
-    recoveries: AtomicU64,
-    /// WAL-tail replay stage (one span per shard recovered).
-    replay: Stage,
-    shards: Vec<ShardMetrics>,
-}
-
-impl IngestMetrics {
-    fn new(shards: usize) -> IngestMetrics {
-        IngestMetrics {
-            offered: AtomicU64::new(0),
-            ingested: AtomicU64::new(0),
-            baselines: AtomicU64::new(0),
-            reset_spanning_gaps: AtomicU64::new(0),
-            counter_resets: AtomicU64::new(0),
-            dropped_late: AtomicU64::new(0),
-            dropped_duplicate: AtomicU64::new(0),
-            dropped_future_jump: AtomicU64::new(0),
-            dropped_queue_closed: AtomicU64::new(0),
-            windows_sealed: AtomicU64::new(0),
-            windows_matched: AtomicU64::new(0),
-            windows_novel: AtomicU64::new(0),
-            windows_insufficient: AtomicU64::new(0),
-            partial_windows: AtomicU64::new(0),
-            wal_records: AtomicU64::new(0),
-            wal_torn_records: AtomicU64::new(0),
-            wal_replayed: AtomicU64::new(0),
-            wal_io_retries: AtomicU64::new(0),
-            wal_io_gave_up: AtomicU64::new(0),
-            wal_gap_records: AtomicU64::new(0),
-            wal_lost_records: AtomicU64::new(0),
-            wal_segments_created: AtomicU64::new(0),
-            wal_segments_compacted: AtomicU64::new(0),
-            snapshots_written: AtomicU64::new(0),
-            snapshots_discarded: AtomicU64::new(0),
-            snapshot_tmp_swept: AtomicU64::new(0),
-            lock_takeovers: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
-            replay: Stage::default(),
-            shards: (0..shards).map(|_| ShardMetrics::default()).collect(),
-        }
-    }
-
-    /// Folds a per-shard ledger delta into the atomic registry.
-    fn apply(&self, d: &ShardCounts) {
-        let add = |a: &AtomicU64, v: u64| {
-            if v > 0 {
-                a.fetch_add(v, Ordering::Relaxed);
-            }
-        };
-        add(&self.ingested, d.ingested);
-        add(&self.baselines, d.baselines);
-        add(&self.reset_spanning_gaps, d.reset_spanning_gaps);
-        add(&self.counter_resets, d.counter_resets);
-        add(&self.dropped_late, d.dropped_late);
-        add(&self.dropped_duplicate, d.dropped_duplicate);
-        add(&self.dropped_future_jump, d.dropped_future_jump);
-        add(&self.windows_sealed, d.windows_sealed);
-        add(&self.windows_matched, d.windows_matched);
-        add(&self.windows_novel, d.windows_novel);
-        add(&self.windows_insufficient, d.windows_insufficient);
-        add(&self.partial_windows, d.partial_windows);
-    }
-
-    /// A consistent-enough point-in-time copy of every counter (relaxed
-    /// loads; cheap enough to poll at high rate while ingest runs).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            offered: load(&self.offered),
-            ingested: load(&self.ingested),
-            baselines: load(&self.baselines),
-            reset_spanning_gaps: load(&self.reset_spanning_gaps),
-            counter_resets: load(&self.counter_resets),
-            dropped_late: load(&self.dropped_late),
-            dropped_duplicate: load(&self.dropped_duplicate),
-            dropped_future_jump: load(&self.dropped_future_jump),
-            dropped_queue_closed: load(&self.dropped_queue_closed),
-            windows_sealed: load(&self.windows_sealed),
-            windows_matched: load(&self.windows_matched),
-            windows_novel: load(&self.windows_novel),
-            windows_insufficient: load(&self.windows_insufficient),
-            partial_windows: load(&self.partial_windows),
-            wal_records: load(&self.wal_records),
-            wal_torn_records: load(&self.wal_torn_records),
-            wal_replayed: load(&self.wal_replayed),
-            wal_io_retries: load(&self.wal_io_retries),
-            wal_io_gave_up: load(&self.wal_io_gave_up),
-            wal_gap_records: load(&self.wal_gap_records),
-            wal_lost_records: load(&self.wal_lost_records),
-            wal_segments_created: load(&self.wal_segments_created),
-            wal_segments_compacted: load(&self.wal_segments_compacted),
-            snapshots_written: load(&self.snapshots_written),
-            snapshots_discarded: load(&self.snapshots_discarded),
-            snapshot_tmp_swept: load(&self.snapshot_tmp_swept),
-            lock_takeovers: load(&self.lock_takeovers),
-            recoveries: load(&self.recoveries),
-            replay: self.replay.snapshot(),
-            per_shard: self
-                .shards
-                .iter()
-                .map(|s| ShardSnapshot {
-                    queue_depth: s.queue_depth.load(Ordering::Relaxed),
-                    queue_peak: s.queue_peak.load(Ordering::Relaxed),
-                    processed: s.processed.load(Ordering::Relaxed),
-                    batch_stage: s.batch_stage.snapshot(),
-                    wal_append: s.wal_append.snapshot(),
-                    snapshot_write: s.snapshot_write.snapshot(),
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Point-in-time copy of one shard's gauges.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Batches currently queued for the shard.
     pub queue_depth: usize,
@@ -419,79 +457,83 @@ pub struct ShardSnapshot {
     pub snapshot_write: StageSnapshot,
 }
 
-/// Point-in-time copy of the ingest counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Reports offered to the pipeline.
-    pub offered: u64,
-    /// Reports accepted (including baselines and reset-spanning gaps).
-    pub ingested: u64,
-    /// Accepted reports that only (re-)established a device baseline.
-    pub baselines: u64,
-    /// Accepted reports whose delta was voided by a reset-spanning gap.
-    pub reset_spanning_gaps: u64,
-    /// Adjacent-minute counter resets decoded (reboot / wrap / rejoin).
-    pub counter_resets: u64,
-    /// Reports dropped as late.
-    pub dropped_late: u64,
-    /// Reports dropped as duplicates.
-    pub dropped_duplicate: u64,
-    /// Reports dropped as uncorroborated future jumps.
-    pub dropped_future_jump: u64,
-    /// Reports rejected because the shard queue was already closed (a
-    /// producer racing shutdown — the typed outcome that replaced a silent
-    /// enqueue-past-close bug; no worker will ever pop them).
-    pub dropped_queue_closed: u64,
-    /// Complete calendar windows sealed across all gateways.
-    pub windows_sealed: u64,
-    /// Sealed windows that matched a motif template.
-    pub windows_matched: u64,
-    /// Sealed windows matching no template (novel behavior).
-    pub windows_novel: u64,
-    /// Sealed windows with too few observations to judge.
-    pub windows_insufficient: u64,
-    /// Trailing partial windows flushed at end of stream.
-    pub partial_windows: u64,
-    /// Reports appended to the write-ahead log (durable runs only).
-    pub wal_records: u64,
-    /// Torn trailing WAL records discarded during recovery.
-    pub wal_torn_records: u64,
-    /// Reports skipped on a resumed feed because the WAL already held them
-    /// (they were replayed from disk instead of re-offered).
-    pub wal_replayed: u64,
-    /// WAL I/O operations retried after a transient failure.
-    pub wal_io_retries: u64,
-    /// WAL I/O operations abandoned after the retry budget (each entered
-    /// or confirmed the degraded mode of its shard).
-    pub wal_io_gave_up: u64,
-    /// Reports consumed while a shard ran degraded — computed but never
-    /// logged, a typed live durability gap.
-    pub wal_gap_records: u64,
-    /// Reports a recovery proved missing from the log (a hole between
-    /// segment headers, or records only a now-dead snapshot covered).
-    pub wal_lost_records: u64,
-    /// WAL segments opened (rotation included).
-    pub wal_segments_created: u64,
-    /// Snapshot-covered segments deleted by compaction (plus recovery's
-    /// removal of fully-covered segments).
-    pub wal_segments_compacted: u64,
-    /// Durable snapshots written.
-    pub snapshots_written: u64,
-    /// Snapshots discarded at recovery (checksum failure).
-    pub snapshots_discarded: u64,
-    /// Orphaned snapshot temp files swept at recovery.
-    pub snapshot_tmp_swept: u64,
-    /// Stale/corrupt single-writer locks fenced via takeover.
-    pub lock_takeovers: u64,
-    /// Recoveries performed (snapshot load + WAL tail replay).
-    pub recoveries: u64,
-    /// Replay stage counters (one span per shard recovered).
-    pub replay: StageSnapshot,
-    /// Per-shard queue/throughput gauges.
-    pub per_shard: Vec<ShardSnapshot>,
+impl ShardSnapshot {
+    fn stages(&self) -> [(&'static str, &StageSnapshot); 3] {
+        [
+            ("batch_stage", &self.batch_stage),
+            ("wal_append", &self.wal_append),
+            ("snapshot_write", &self.snapshot_write),
+        ]
+    }
+
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"queue_depth\":{},\"queue_peak\":{},\"processed\":{},\
+             \"batches_entered\":{},\"batches_exited\":{},\"batches_in_flight\":{},\
+             \"batch_latency_ns\":{},\"wal_append\":{},\"snapshot_write\":{}}}",
+            self.queue_depth,
+            self.queue_peak,
+            self.processed,
+            self.batch_stage.entered,
+            self.batch_stage.exited,
+            self.batch_stage.in_flight,
+            self.batch_stage.latency_ns.to_json(),
+            self.wal_append.to_json(),
+            self.snapshot_write.to_json()
+        )
+    }
 }
 
 impl MetricsSnapshot {
+    /// The conservation laws of a settled run: every offered report is
+    /// ingested, dropped for a counted reason or a proven WAL hole; on a
+    /// durable run every offered report is also logged or in a typed gap,
+    /// and every consumed batch was logged first.
+    pub const LAWS: &'static [Law<MetricsSnapshot>] = &[
+        Law {
+            name: "fully_accounted",
+            holds: MetricsSnapshot::fully_accounted,
+        },
+        Law {
+            name: "durably_accounted",
+            holds: |m| !m.durable() || m.durably_accounted(),
+        },
+        Law {
+            name: "write_ahead",
+            holds: |m| {
+                !m.durable()
+                    || m.per_shard
+                        .iter()
+                        .all(|s| s.wal_append.entered == s.batch_stage.entered)
+            },
+        },
+    ];
+
+    /// Names of the laws this snapshot breaks — the replay stage's and
+    /// each shard stage's [`StageSnapshot::LAWS`] (as `"replay.<law>"` and
+    /// `"per_shard[i].<stage>.<law>"`), then [`MetricsSnapshot::LAWS`] —
+    /// empty when the books balance. Judges a settled snapshot: while
+    /// ingest runs, reports in a queue are offered but not yet classified.
+    pub fn check_laws(&self) -> Vec<String> {
+        let mut failed = Vec::new();
+        check(StageSnapshot::LAWS, &self.replay, "replay.", &mut failed);
+        for (i, shard) in self.per_shard.iter().enumerate() {
+            for (name, stage) in shard.stages() {
+                let scope = format!("per_shard[{i}].{name}.");
+                check(StageSnapshot::LAWS, stage, &scope, &mut failed);
+            }
+        }
+        check(Self::LAWS, self, "", &mut failed);
+        failed
+    }
+
+    /// Whether the run kept a write-ahead log: a plain run never recovers,
+    /// logs a record or opens a `wal_append` span.
+    fn durable(&self) -> bool {
+        self.recoveries + self.wal_records + self.wal_gap_records > 0
+            || self.per_shard.iter().any(|s| s.wal_append.entered > 0)
+    }
+
     /// Total dropped reports across all reasons.
     pub fn dropped(&self) -> u64 {
         self.dropped_late
@@ -525,108 +567,18 @@ impl MetricsSnapshot {
         self.wal_gap_records + self.wal_lost_records
     }
 
-    /// The deterministic projection of the snapshot: every field that is a
-    /// pure function of the report stream, with the timing-dependent parts
-    /// (latency histograms, queue gauges) and the durability bookkeeping
-    /// that legitimately differs across a crash (snapshot/recovery counts)
-    /// zeroed out. A recovered run and an uninterrupted run over the same
-    /// stream must agree *exactly* on this projection — the headline
-    /// invariant of [`durable`].
-    pub fn replay_invariant_core(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            wal_torn_records: 0,
-            wal_replayed: 0,
-            wal_io_retries: 0,
-            wal_io_gave_up: 0,
-            wal_gap_records: 0,
-            wal_lost_records: 0,
-            wal_segments_created: 0,
-            wal_segments_compacted: 0,
-            snapshots_written: 0,
-            snapshots_discarded: 0,
-            snapshot_tmp_swept: 0,
-            lock_takeovers: 0,
-            recoveries: 0,
-            replay: StageSnapshot::default(),
-            per_shard: self
-                .per_shard
-                .iter()
-                .map(|s| ShardSnapshot {
-                    queue_depth: 0,
-                    queue_peak: 0,
-                    processed: s.processed,
-                    batch_stage: StageSnapshot::default(),
-                    wal_append: StageSnapshot::default(),
-                    snapshot_write: StageSnapshot::default(),
-                })
-                .collect(),
-            ..self.clone()
-        }
-    }
-
     /// The snapshot as a JSON object — what `fleet_ingest --metrics-json`
-    /// emits and `scripts/ci.sh` validates against the conservation laws.
+    /// emits.
     pub fn to_json(&self) -> String {
-        let shards: Vec<String> = self
-            .per_shard
+        let counters: String = self
+            .counters()
             .iter()
-            .map(|s| {
-                format!(
-                    "{{\"queue_depth\":{},\"queue_peak\":{},\"processed\":{},\
-                     \"batches_entered\":{},\"batches_exited\":{},\"batches_in_flight\":{},\
-                     \"batch_latency_ns\":{},\"wal_append\":{},\"snapshot_write\":{}}}",
-                    s.queue_depth,
-                    s.queue_peak,
-                    s.processed,
-                    s.batch_stage.entered,
-                    s.batch_stage.exited,
-                    s.batch_stage.in_flight,
-                    s.batch_stage.latency_ns.to_json(),
-                    s.wal_append.to_json(),
-                    s.snapshot_write.to_json()
-                )
-            })
+            .map(|(name, v)| format!("\"{name}\":{v},"))
             .collect();
+        let shards: Vec<String> = self.per_shard.iter().map(ShardSnapshot::to_json).collect();
         format!(
-            "{{\"offered\":{},\"ingested\":{},\"baselines\":{},\"reset_spanning_gaps\":{},\
-             \"counter_resets\":{},\"dropped_late\":{},\"dropped_duplicate\":{},\
-             \"dropped_future_jump\":{},\"dropped_queue_closed\":{},\"windows_sealed\":{},\
-             \"windows_matched\":{},\"windows_novel\":{},\"windows_insufficient\":{},\
-             \"partial_windows\":{},\"wal_records\":{},\"wal_torn_records\":{},\
-             \"wal_replayed\":{},\"wal_io_retries\":{},\"wal_io_gave_up\":{},\
-             \"wal_gap_records\":{},\"wal_lost_records\":{},\"wal_segments_created\":{},\
-             \"wal_segments_compacted\":{},\"snapshots_written\":{},\"snapshots_discarded\":{},\
-             \"snapshot_tmp_swept\":{},\"lock_takeovers\":{},\"recoveries\":{},\"replay\":{},\
-             \"fully_accounted\":{},\"durably_accounted\":{},\"durability_gap\":{},\
-             \"per_shard\":[{}]}}",
-            self.offered,
-            self.ingested,
-            self.baselines,
-            self.reset_spanning_gaps,
-            self.counter_resets,
-            self.dropped_late,
-            self.dropped_duplicate,
-            self.dropped_future_jump,
-            self.dropped_queue_closed,
-            self.windows_sealed,
-            self.windows_matched,
-            self.windows_novel,
-            self.windows_insufficient,
-            self.partial_windows,
-            self.wal_records,
-            self.wal_torn_records,
-            self.wal_replayed,
-            self.wal_io_retries,
-            self.wal_io_gave_up,
-            self.wal_gap_records,
-            self.wal_lost_records,
-            self.wal_segments_created,
-            self.wal_segments_compacted,
-            self.snapshots_written,
-            self.snapshots_discarded,
-            self.snapshot_tmp_swept,
-            self.lock_takeovers,
-            self.recoveries,
+            "{{{counters}\"replay\":{},\"fully_accounted\":{},\"durably_accounted\":{},\
+             \"durability_gap\":{},\"per_shard\":[{}]}}",
             self.replay.to_json(),
             self.fully_accounted(),
             self.durably_accounted(),
@@ -1371,10 +1323,10 @@ impl IngestPipeline {
                 if this_seq <= cutoffs[shard] {
                     // Already durable in this shard's WAL: it was replayed
                     // from disk during recovery, not re-offered.
-                    self.metrics.wal_replayed.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.wal_replayed.incr();
                     continue;
                 }
-                self.metrics.offered.fetch_add(1, Ordering::Relaxed);
+                self.metrics.offered.incr();
                 batches[shard].push((this_seq, report));
                 if batches[shard].len() >= self.config.batch_reports {
                     let batch = std::mem::replace(
@@ -1471,9 +1423,7 @@ impl IngestPipeline {
                 // The reports were offered, so account for every one of
                 // them — the conservation law must close even on shutdown
                 // races.
-                self.metrics
-                    .dropped_queue_closed
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                self.metrics.dropped_queue_closed.add(batch.len() as u64);
             }
         }
     }
@@ -1848,7 +1798,7 @@ mod tests {
         let pipeline = IngestPipeline::new(test_config(1), Vec::new());
         let queue: BoundedQueue<Vec<(u64, IngestReport)>> = BoundedQueue::new(1);
         queue.close();
-        pipeline.metrics.offered.fetch_add(2, Ordering::Relaxed);
+        pipeline.metrics.offered.add(2);
         pipeline.offer_batch(
             0,
             &queue,
@@ -1877,5 +1827,149 @@ mod tests {
         assert!(summary.gateways.is_empty());
         assert_eq!(summary.metrics.offered, 0);
         assert!(summary.metrics.fully_accounted());
+    }
+
+    /// A hand-filled stage whose four books all differ.
+    fn golden_stage(base: u64) -> StageSnapshot {
+        StageSnapshot {
+            entered: base,
+            exited: base + 1,
+            in_flight: base + 2,
+            latency_ns: crate::obs::HistogramSnapshot {
+                counts: vec![base, 0, base + 3],
+            },
+        }
+    }
+
+    /// Pins the JSON report (and the replay-invariant projection) byte for
+    /// byte on a two-shard snapshot in which every counter holds a distinct
+    /// value, so a reordered, renamed or dropped key cannot pass.
+    #[test]
+    fn metrics_snapshot_json_is_pinned() {
+        let shard = |base: u64| ShardSnapshot {
+            queue_depth: base as usize,
+            queue_peak: base as usize + 1,
+            processed: base + 2,
+            batch_stage: golden_stage(base + 3),
+            wal_append: golden_stage(base + 10),
+            snapshot_write: golden_stage(base + 20),
+        };
+        let snap = MetricsSnapshot {
+            offered: 1,
+            ingested: 2,
+            baselines: 3,
+            reset_spanning_gaps: 4,
+            counter_resets: 5,
+            dropped_late: 6,
+            dropped_duplicate: 7,
+            dropped_future_jump: 8,
+            dropped_queue_closed: 9,
+            windows_sealed: 10,
+            windows_matched: 11,
+            windows_novel: 12,
+            windows_insufficient: 13,
+            partial_windows: 14,
+            wal_records: 15,
+            wal_torn_records: 16,
+            wal_replayed: 17,
+            wal_io_retries: 18,
+            wal_io_gave_up: 19,
+            wal_gap_records: 20,
+            wal_lost_records: 21,
+            wal_segments_created: 22,
+            wal_segments_compacted: 23,
+            snapshots_written: 24,
+            snapshots_discarded: 25,
+            snapshot_tmp_swept: 26,
+            lock_takeovers: 27,
+            recoveries: 28,
+            replay: golden_stage(29),
+            per_shard: vec![shard(100), shard(200)],
+        };
+        assert_eq!(
+            snap.to_json(),
+            r#"{"offered":1,"ingested":2,"baselines":3,"reset_spanning_gaps":4,"counter_resets":5,"dropped_late":6,"dropped_duplicate":7,"dropped_future_jump":8,"dropped_queue_closed":9,"windows_sealed":10,"windows_matched":11,"windows_novel":12,"windows_insufficient":13,"partial_windows":14,"wal_records":15,"wal_torn_records":16,"wal_replayed":17,"wal_io_retries":18,"wal_io_gave_up":19,"wal_gap_records":20,"wal_lost_records":21,"wal_segments_created":22,"wal_segments_compacted":23,"snapshots_written":24,"snapshots_discarded":25,"snapshot_tmp_swept":26,"lock_takeovers":27,"recoveries":28,"replay":{"entered":29,"exited":30,"in_flight":31,"latency_ns":{"count":61,"p50_le":3,"p99_le":3,"mean_le":1.5737704918032787,"buckets":[[0,29],[3,32]]}},"fully_accounted":false,"durably_accounted":false,"durability_gap":41,"per_shard":[{"queue_depth":100,"queue_peak":101,"processed":102,"batches_entered":103,"batches_exited":104,"batches_in_flight":105,"batch_latency_ns":{"count":209,"p50_le":3,"p99_le":3,"mean_le":1.5215311004784688,"buckets":[[0,103],[3,106]]},"wal_append":{"entered":110,"exited":111,"in_flight":112,"latency_ns":{"count":223,"p50_le":3,"p99_le":3,"mean_le":1.5201793721973094,"buckets":[[0,110],[3,113]]}},"snapshot_write":{"entered":120,"exited":121,"in_flight":122,"latency_ns":{"count":243,"p50_le":3,"p99_le":3,"mean_le":1.5185185185185186,"buckets":[[0,120],[3,123]]}}},{"queue_depth":200,"queue_peak":201,"processed":202,"batches_entered":203,"batches_exited":204,"batches_in_flight":205,"batch_latency_ns":{"count":409,"p50_le":3,"p99_le":3,"mean_le":1.511002444987775,"buckets":[[0,203],[3,206]]},"wal_append":{"entered":210,"exited":211,"in_flight":212,"latency_ns":{"count":423,"p50_le":3,"p99_le":3,"mean_le":1.5106382978723405,"buckets":[[0,210],[3,213]]}},"snapshot_write":{"entered":220,"exited":221,"in_flight":222,"latency_ns":{"count":443,"p50_le":3,"p99_le":3,"mean_le":1.510158013544018,"buckets":[[0,220],[3,223]]}}}]}"#
+        );
+        assert_eq!(
+            snap.replay_invariant_core().to_json(),
+            r#"{"offered":1,"ingested":2,"baselines":3,"reset_spanning_gaps":4,"counter_resets":5,"dropped_late":6,"dropped_duplicate":7,"dropped_future_jump":8,"dropped_queue_closed":9,"windows_sealed":10,"windows_matched":11,"windows_novel":12,"windows_insufficient":13,"partial_windows":14,"wal_records":15,"wal_torn_records":0,"wal_replayed":0,"wal_io_retries":0,"wal_io_gave_up":0,"wal_gap_records":0,"wal_lost_records":0,"wal_segments_created":0,"wal_segments_compacted":0,"snapshots_written":0,"snapshots_discarded":0,"snapshot_tmp_swept":0,"lock_takeovers":0,"recoveries":0,"replay":{"entered":0,"exited":0,"in_flight":0,"latency_ns":{"count":0,"p50_le":0,"p99_le":0,"mean_le":null,"buckets":[]}},"fully_accounted":false,"durably_accounted":false,"durability_gap":0,"per_shard":[{"queue_depth":0,"queue_peak":0,"processed":102,"batches_entered":0,"batches_exited":0,"batches_in_flight":0,"batch_latency_ns":{"count":0,"p50_le":0,"p99_le":0,"mean_le":null,"buckets":[]},"wal_append":{"entered":0,"exited":0,"in_flight":0,"latency_ns":{"count":0,"p50_le":0,"p99_le":0,"mean_le":null,"buckets":[]}},"snapshot_write":{"entered":0,"exited":0,"in_flight":0,"latency_ns":{"count":0,"p50_le":0,"p99_le":0,"mean_le":null,"buckets":[]}}},{"queue_depth":0,"queue_peak":0,"processed":202,"batches_entered":0,"batches_exited":0,"batches_in_flight":0,"batch_latency_ns":{"count":0,"p50_le":0,"p99_le":0,"mean_le":null,"buckets":[]},"wal_append":{"entered":0,"exited":0,"in_flight":0,"latency_ns":{"count":0,"p50_le":0,"p99_le":0,"mean_le":null,"buckets":[]}},"snapshot_write":{"entered":0,"exited":0,"in_flight":0,"latency_ns":{"count":0,"p50_le":0,"p99_le":0,"mean_le":null,"buckets":[]}}}]}"#
+        );
+    }
+
+    fn settled(n: u64) -> StageSnapshot {
+        StageSnapshot {
+            entered: n,
+            exited: n,
+            in_flight: 0,
+            latency_ns: crate::obs::HistogramSnapshot {
+                counts: vec![1, n - 1],
+            },
+        }
+    }
+
+    /// A settled, recovered durable run over two shards in which every law
+    /// holds and every counter a law reads is distinct and non-zero, so a
+    /// dropped term breaks a law.
+    fn lawful() -> MetricsSnapshot {
+        let shard = |batches: u64| ShardSnapshot {
+            batch_stage: settled(batches),
+            wal_append: settled(batches),
+            snapshot_write: settled(3),
+            ..ShardSnapshot::default()
+        };
+        MetricsSnapshot {
+            offered: 1000,
+            ingested: 900,
+            dropped_late: 11,
+            dropped_duplicate: 22,
+            dropped_future_jump: 33,
+            dropped_queue_closed: 4,
+            wal_records: 950,
+            wal_gap_records: 20,
+            wal_lost_records: 30,
+            recoveries: 1,
+            replay: settled(2),
+            per_shard: vec![shard(5), shard(7)],
+            ..MetricsSnapshot::default()
+        }
+    }
+
+    /// Each declared law, broken by perturbing one input of a lawful
+    /// snapshot, is reported alone and by name; stage laws carry their
+    /// stage's path.
+    #[test]
+    fn each_law_reports_exactly_its_own_name() {
+        assert_eq!(lawful().check_laws(), Vec::<String>::new());
+        type Perturb = fn(&mut MetricsSnapshot);
+        let cases: [(&str, Perturb); 3] = [
+            ("fully_accounted", |m| m.dropped_queue_closed += 1),
+            ("durably_accounted", |m| m.wal_gap_records += 1),
+            ("write_ahead", |m| m.per_shard[1].wal_append.entered += 1),
+        ];
+        let declared: Vec<&str> = MetricsSnapshot::LAWS.iter().map(|l| l.name).collect();
+        assert_eq!(cases.map(|(name, _)| name).to_vec(), declared);
+        for (name, perturb) in cases {
+            let mut m = lawful();
+            perturb(&mut m);
+            assert_eq!(m.check_laws(), [name]);
+        }
+
+        let mut m = lawful();
+        m.replay.latency_ns.counts[0] += 1;
+        m.per_shard[1].snapshot_write.in_flight += 1;
+        assert_eq!(
+            m.check_laws(),
+            ["replay.timed", "per_shard[1].snapshot_write.settled"]
+        );
+    }
+
+    /// The durable-only laws stay silent on a plain run, whose WAL books
+    /// are all zero.
+    #[test]
+    fn plain_runs_skip_the_durable_laws() {
+        let reports = (0..3u64).flat_map(|gw| (0..50u32).map(move |m| report(gw, 0, m, m as u64)));
+        let summary = IngestPipeline::new(test_config(2), Vec::new()).run(reports);
+        assert_eq!(summary.metrics.check_laws(), Vec::<String>::new());
+        assert!(!summary.metrics.durably_accounted());
     }
 }

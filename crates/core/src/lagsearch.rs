@@ -889,27 +889,17 @@ mod tests {
         let without = lag_search(&series, &config, None);
         assert_eq!(with_obs, without, "observability must not change results");
         let snap = obs.snapshot();
-        assert!(snap.conserved());
-        assert!(snap.quiescent());
+        assert_eq!(snap.check_laws(), Vec::<String>::new());
         let stats = with_obs.stats;
-        assert_eq!(snap.counter("lag_cells_total"), stats.cells_total);
-        assert_eq!(
-            snap.counter("lag_cells_pruned_degenerate"),
-            stats.pruned_degenerate
-        );
-        assert_eq!(snap.counter("lag_cells_pruned_sketch"), stats.pruned_sketch);
-        assert_eq!(snap.counter("lag_cells_pruned_energy"), stats.pruned_energy);
-        assert_eq!(snap.counter("lag_cells_evaluated"), stats.evaluated);
-        let entered = |name: &str| {
-            snap.stages
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, s)| s.entered)
-                .unwrap()
-        };
-        assert_eq!(entered("lag_prepare"), (3 * config.scales.len()) as u64);
-        assert_eq!(entered("lag_pair_scan"), (3 * config.scales.len()) as u64);
-        assert_eq!(entered("rebin"), (3 * config.scales.len()) as u64);
+        assert_eq!(snap.lag_cells_total, stats.cells_total);
+        assert_eq!(snap.lag_cells_pruned_degenerate, stats.pruned_degenerate);
+        assert_eq!(snap.lag_cells_pruned_sketch, stats.pruned_sketch);
+        assert_eq!(snap.lag_cells_pruned_energy, stats.pruned_energy);
+        assert_eq!(snap.lag_cells_evaluated, stats.evaluated);
+        let cells = (3 * config.scales.len()) as u64;
+        assert_eq!(snap.lag_prepare.entered, cells);
+        assert_eq!(snap.lag_pair_scan.entered, cells);
+        assert_eq!(snap.rebin.entered, cells);
     }
 
     #[test]

@@ -113,7 +113,7 @@ pub use motif::{
     F32_REVERIFY_BAND,
 };
 pub use obs::{
-    HistogramSnapshot, LogHistogram, ObsSnapshot, PipelineObs, Stage, StageSnapshot,
+    HistogramSnapshot, Law, LogHistogram, ObsSnapshot, PipelineObs, Stage, StageSnapshot,
     NEAR_THRESHOLD_BAND,
 };
 pub use profile::GatewayProfile;

@@ -12,25 +12,32 @@
 //! * [`LogHistogram`] — power-of-two-bucketed atomic histogram for
 //!   latencies (nanoseconds) and values; `record` is one relaxed
 //!   `fetch_add`, no locks anywhere on the hot path.
-//! * [`Stage`] — entered/exited/in-flight counters plus a latency
-//!   histogram; [`Stage::enter`] returns a [`Span`] guard that times the
-//!   stage and closes the books on drop. The per-stage conservation law
-//!   `entered == exited + in_flight` holds at every instant (checked by
-//!   [`StageSnapshot::conserved`]) and tightens to `entered == exited` at
-//!   quiescence ([`StageSnapshot::quiescent`]).
+//! * [`Stage`] — entered/exited counters plus a latency histogram;
+//!   [`Stage::enter`] returns a [`Span`] guard that times the stage and
+//!   closes the books on drop. A snapshot derives `in_flight` as
+//!   `entered − exited` from an ordered pair of loads, so
+//!   `entered == exited + in_flight` holds in every snapshot, live ones
+//!   included ([`StageSnapshot::conserved`]), and tightens to
+//!   `entered == exited` at quiescence ([`StageSnapshot::quiescent`]).
 //! * [`PipelineObs`] — the registry wired through the batch analysis
-//!   pipeline: correlation-engine profile build and row fill, motif
-//!   discovery (candidate pairs evaluated / pruned / grown / merged, the
-//!   near-threshold instrument), and stationarity sweeps.
+//!   pipeline, declared once as a table of stages and counters:
+//!   correlation-engine profile build and row fill, motif discovery
+//!   (candidate pairs evaluated / pruned / grown / merged, the
+//!   near-threshold instrument), stationarity and granularity sweeps, and
+//!   the prune tiers of the pruned matrix and the lag search.
+//! * [`Law`] — a named conservation predicate. [`ObsSnapshot::LAWS`] and
+//!   [`StageSnapshot::LAWS`] declare the laws of a settled run, and
+//!   [`ObsSnapshot::check_laws`] names every one a snapshot breaks.
 //!
 //! **Zero cost when disabled.** Instrumented entry points take
 //! `Option<&PipelineObs>`; with `None` no atomic is touched and no clock is
 //! read, and results are bit-identical either way (the registry only
 //! *observes* — it never feeds back into a decision).
 //!
-//! [`PipelineObs::snapshot`] is a handful of relaxed loads producing a
-//! serializable [`ObsSnapshot`]; [`ObsSnapshot::to_json`] emits the report
-//! the `--metrics-json` example flags print.
+//! [`PipelineObs::snapshot`] is a handful of atomic loads producing an
+//! [`ObsSnapshot`] with one typed field per stage and counter;
+//! [`ObsSnapshot::to_json`] emits the report the `fleet_report
+//! --metrics-json` example flag prints.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -201,45 +208,42 @@ impl HistogramSnapshot {
     }
 }
 
-/// One pipeline stage: how many work items entered, how many exited, how
-/// many are in flight right now, and a log-bucketed latency histogram in
-/// nanoseconds. All updates are relaxed atomics; [`Stage::enter`] is the
+/// One pipeline stage: how many work items entered, how many exited, and a
+/// log-bucketed latency histogram in nanoseconds. [`Stage::enter`] is the
 /// only place a clock is read.
 #[derive(Debug, Default)]
 pub struct Stage {
     entered: Counter,
+    /// Bumped with `Release` once a span's latency is recorded, so a
+    /// snapshot that loads it with `Acquire` sees every counted exit's entry
+    /// and latency sample.
     exited: Counter,
-    in_flight: Counter,
     latency_ns: LogHistogram,
 }
 
 impl Stage {
-    /// Opens a span: increments `entered`/`in_flight` and starts the timer.
-    /// Dropping the returned [`Span`] records the latency and moves the
-    /// item from `in_flight` to `exited`.
+    /// Opens a span: increments `entered` and starts the timer. Dropping
+    /// the returned [`Span`] records the latency and counts the exit.
     #[inline]
     pub fn enter(&self) -> Span<'_> {
         self.entered.incr();
-        self.in_flight.incr();
         Span {
             stage: self,
             started: Instant::now(),
         }
     }
 
-    /// Point-in-time copy of the stage counters.
+    /// Point-in-time copy of the stage counters. `exited` is loaded with
+    /// `Acquire` before `entered`, so every span it counts has its entry
+    /// counted too: `exited ≤ entered` in every snapshot, live or quiescent,
+    /// and `in_flight` is the difference.
     pub fn snapshot(&self) -> StageSnapshot {
-        // Load in an order that keeps the conservation check sound under
-        // concurrent spans: `exited` first, `entered` last, so a span
-        // closing mid-snapshot can only make `exited + in_flight` over-count
-        // relative to `entered` — never under-count below it at quiescence.
-        let exited = self.exited.get();
-        let in_flight = self.in_flight.0.load(Ordering::Relaxed);
+        let exited = self.exited.0.load(Ordering::Acquire);
         let entered = self.entered.get();
         StageSnapshot {
             entered,
             exited,
-            in_flight,
+            in_flight: entered.saturating_sub(exited),
             latency_ns: self.latency_ns.snapshot(),
         }
     }
@@ -256,8 +260,7 @@ impl Drop for Span<'_> {
     fn drop(&mut self) {
         let ns = self.started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.stage.latency_ns.record(ns);
-        self.stage.in_flight.0.fetch_sub(1, Ordering::Relaxed);
-        self.stage.exited.incr();
+        self.stage.exited.0.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -268,19 +271,34 @@ pub struct StageSnapshot {
     pub entered: u64,
     /// Work items that exited the stage.
     pub exited: u64,
-    /// Work items currently inside the stage.
+    /// Work items inside the stage at the snapshot (`entered − exited`).
     pub in_flight: u64,
     /// Stage latency histogram (nanoseconds).
     pub latency_ns: HistogramSnapshot,
 }
 
 impl StageSnapshot {
+    /// The laws of a settled stage: nothing exits before it enters, nothing
+    /// is left in flight, and every exit left one latency sample.
+    pub const LAWS: &'static [Law<StageSnapshot>] = &[
+        Law {
+            name: "exited_le_entered",
+            holds: |s| s.exited <= s.entered,
+        },
+        Law {
+            name: "settled",
+            holds: |s| s.in_flight == 0,
+        },
+        Law {
+            name: "timed",
+            holds: |s| s.latency_ns.total() == s.exited,
+        },
+    ];
+
     /// The per-stage conservation law: every entered item is either done or
-    /// in flight. (A snapshot taken while spans are closing may transiently
-    /// over-count the right-hand side; at quiescence equality is exact.)
+    /// in flight. Holds in every snapshot [`Stage::snapshot`] takes.
     pub fn conserved(&self) -> bool {
-        self.entered <= self.exited + self.in_flight
-            && self.exited + self.in_flight <= self.entered + self.in_flight
+        self.entered == self.exited + self.in_flight
     }
 
     /// Quiescent conservation: nothing in flight and books balanced.
@@ -300,6 +318,25 @@ impl StageSnapshot {
     }
 }
 
+/// A conservation law declared as data: a name and the predicate a
+/// snapshot of type `S` satisfies when its books balance.
+pub struct Law<S> {
+    /// What `check_laws` reports when the predicate fails.
+    pub name: &'static str,
+    /// Whether the law holds on a snapshot.
+    pub holds: fn(&S) -> bool,
+}
+
+/// Pushes onto `failed` the name, prefixed with `scope`, of every law in
+/// `laws` that `snapshot` breaks.
+pub(crate) fn check<S>(laws: &[Law<S>], snapshot: &S, scope: &str, failed: &mut Vec<String>) {
+    for law in laws {
+        if !(law.holds)(snapshot) {
+            failed.push(format!("{scope}{}", law.name));
+        }
+    }
+}
+
 /// Scales a similarity in `[-1, 1]` to an integer number of thousandths for
 /// the value histogram (negative similarities clamp to bucket zero — the
 /// thresholds the pipeline cares about are all positive).
@@ -312,101 +349,156 @@ pub fn sim_millis(sim: f64) -> u64 {
 /// the population whose verdicts rounding error could plausibly flip.
 pub const NEAR_THRESHOLD_BAND: f64 = 1e-3;
 
-/// The observability registry wired through the batch analysis pipeline.
-///
-/// One instance is shared by every thread of a run (all fields are atomic;
-/// the struct is `Sync`). Every instrumented entry point takes
-/// `Option<&PipelineObs>` — pass `None` and the pipeline runs exactly as
-/// before, bit for bit.
-#[derive(Debug, Default)]
-pub struct PipelineObs {
-    /// Per-series profile construction ([`crate::engine::profile_series`]).
-    pub profile_build: Stage,
-    /// Condensed-matrix row fill ([`crate::engine::cor_matrix`]); one span
-    /// per row, across all worker threads.
-    pub row_fill: Stage,
-    /// One whole motif-discovery run.
-    pub motif_discovery: Stage,
-    /// One strong-stationarity sweep over a window set.
-    pub stationarity_sweep: Stage,
-    /// One granularity-pyramid construction (prefix sums plus levels) for a
-    /// series entering the Definition-3 sweep.
-    pub pyramid_build: Stage,
-    /// One `(granularity, offset)` re-binning inside the sweep, whichever
-    /// path served it.
-    pub rebin: Stage,
-    /// One window-set scoring pass (profiles plus the fused pair loop) for
-    /// one sweep cell.
-    pub window_score: Stage,
-    /// Per-series pruning-sketch construction
-    /// ([`crate::engine::sketch_series`]).
-    pub sketch_build: Stage,
-    /// One `(series, scale)` lag-search preparation: the correlation kernel
-    /// side, pruning sketch and energy/missingness prefixes built on top of
-    /// the re-binned series ([`crate::lagsearch`]).
-    pub lag_prepare: Stage,
-    /// One `(pair, scale)` lag-search scan: the prune cascade plus the
-    /// exact cells across the whole lag range.
-    pub lag_pair_scan: Stage,
-    /// Pairs whose similarity was compared against φ in the motif
-    /// candidate scan: the survivors of the prune tiers
-    /// (`prune_pairs_evaluated` of the discovery's matrix build).
-    pub pairs_evaluated: Counter,
-    /// Pairs accepted as motif candidates (`cor ≥ φ`).
-    pub candidate_pairs: Counter,
-    /// Pairs pruned below φ in the candidate scan.
-    pub pairs_pruned: Counter,
-    /// Windows added to an existing motif during greedy growth.
-    pub members_grown: Counter,
-    /// Motif pairs unified in the merge phase.
-    pub motifs_merged: Counter,
-    /// Comparisons landing within [`NEAR_THRESHOLD_BAND`] of φ.
-    pub near_phi: Counter,
-    /// Comparisons landing within [`NEAR_THRESHOLD_BAND`] of ¾φ.
-    pub near_group: Counter,
-    /// Near-threshold comparisons re-verified in f64 (the
-    /// `CondensedMatrix` f32 quantization guard).
-    pub f64_reverified: Counter,
-    /// Two-sample KS tests run by stationarity sweeps.
-    pub ks_tests: Counter,
-    /// Re-binnings served from prefix sums (pyramid base or a level).
-    pub rebins_pyramid: Counter,
-    /// Re-binnings that fell back to direct summation (non-integer series).
-    pub rebins_direct: Counter,
-    /// Pyramid re-binnings that folded from a coarse level rather than the
-    /// per-sample base (a subset of `rebins_pyramid`).
-    pub level_folds: Counter,
-    /// Pairs a pruned matrix build considered (its conservation total:
-    /// the three prune tiers plus exact evaluations sum to this).
-    pub prune_pairs_total: Counter,
-    /// Pairs dismissed by the degenerate tier (constant side or too few
-    /// shared observations).
-    pub pairs_pruned_degenerate: Counter,
-    /// Pairs dismissed by the symbolized (SAX MINDIST) bound tier.
-    pub pairs_pruned_sax: Counter,
-    /// Pairs dismissed by the segment-mean (moment signature) bound tier.
-    pub pairs_pruned_moment: Counter,
-    /// Pairs that fell through pruning and were evaluated exactly.
-    pub prune_pairs_evaluated: Counter,
-    /// Exactly-evaluated pairs that were ineligible for pruning because
-    /// their finite masks differ (a subset of `prune_pairs_evaluated`).
-    pub prune_mask_fallthrough: Counter,
-    /// Lag-search `(pair, scale, lag)` cells considered — the conservation
-    /// total: the three prune tiers plus exact evaluations sum to this.
-    pub lag_cells_total: Counter,
-    /// Lag cells dismissed wholesale because a side is degenerate at that
-    /// scale (no observations or zero variance).
-    pub lag_cells_pruned_degenerate: Counter,
-    /// Lag-0 cells dismissed by the [`wtts_stats::prune_pair`] coefficient
-    /// upper bounds on a shared finite mask.
-    pub lag_cells_pruned_sketch: Counter,
-    /// Lag cells dismissed by the segmented Cauchy–Schwarz energy bound.
-    pub lag_cells_pruned_energy: Counter,
-    /// Lag cells that fell through pruning and were evaluated exactly.
-    pub lag_cells_evaluated: Counter,
-    /// Pairwise similarities observed by stationarity sweeps, in
-    /// thousandths (see [`sim_millis`]).
-    pub stationarity_sim_millis: LogHistogram,
+/// Declares the analysis registry from one ordered table: each stage and
+/// counter becomes a field of [`PipelineObs`] and of [`ObsSnapshot`], one
+/// load in [`PipelineObs::snapshot`] and one key of [`ObsSnapshot::to_json`],
+/// all in table order.
+macro_rules! obs_registry {
+    (
+        stages { $( $(#[$stage_doc:meta])* $stage:ident, )* }
+        counters { $( $(#[$counter_doc:meta])* $counter:ident, )* }
+    ) => {
+        /// The observability registry wired through the batch analysis
+        /// pipeline.
+        ///
+        /// One instance is shared by every thread of a run (all fields are
+        /// atomic; the struct is `Sync`). Every instrumented entry point takes
+        /// `Option<&PipelineObs>` — pass `None` and the pipeline runs exactly
+        /// as before, bit for bit.
+        #[derive(Debug, Default)]
+        pub struct PipelineObs {
+            $( $(#[$stage_doc])* pub $stage: Stage, )*
+            $( $(#[$counter_doc])* pub $counter: Counter, )*
+            /// Pairwise similarities observed by stationarity sweeps, in
+            /// thousandths (see [`sim_millis`]).
+            pub stationarity_sim_millis: LogHistogram,
+        }
+
+        /// Serializable point-in-time report of a [`PipelineObs`]: one typed
+        /// field per stage and counter.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct ObsSnapshot {
+            $( $(#[$stage_doc])* pub $stage: StageSnapshot, )*
+            $( $(#[$counter_doc])* pub $counter: u64, )*
+            /// Value histogram of stationarity pair similarities (thousandths).
+            pub stationarity_sim_millis: HistogramSnapshot,
+        }
+
+        impl PipelineObs {
+            /// Point-in-time copy of every stage and counter (cheap enough to
+            /// poll while the pipeline runs).
+            pub fn snapshot(&self) -> ObsSnapshot {
+                ObsSnapshot {
+                    $( $stage: self.$stage.snapshot(), )*
+                    $( $counter: self.$counter.get(), )*
+                    stationarity_sim_millis: self.stationarity_sim_millis.snapshot(),
+                }
+            }
+        }
+
+        impl ObsSnapshot {
+            fn stages(&self) -> Vec<(&'static str, &StageSnapshot)> {
+                vec![$( (stringify!($stage), &self.$stage), )*]
+            }
+
+            fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$( (stringify!($counter), self.$counter), )*]
+            }
+        }
+    };
+}
+
+obs_registry! {
+    stages {
+        /// Per-series profile construction ([`crate::engine::profile_series`]).
+        profile_build,
+        /// Condensed-matrix row fill ([`crate::engine::cor_matrix`]); one span
+        /// per row, across all worker threads.
+        row_fill,
+        /// One whole motif-discovery run.
+        motif_discovery,
+        /// One strong-stationarity sweep over a window set.
+        stationarity_sweep,
+        /// One granularity-pyramid construction (prefix sums plus levels) for
+        /// a series entering the Definition-3 sweep.
+        pyramid_build,
+        /// One `(granularity, offset)` re-binning inside the sweep, whichever
+        /// path served it.
+        rebin,
+        /// One window-set scoring pass (profiles plus the fused pair loop)
+        /// for one sweep cell.
+        window_score,
+        /// Per-series pruning-sketch construction
+        /// ([`crate::engine::sketch_series`]).
+        sketch_build,
+        /// One `(series, scale)` lag-search preparation: the correlation
+        /// kernel side, pruning sketch and energy/missingness prefixes built
+        /// on top of the re-binned series ([`crate::lagsearch`]).
+        lag_prepare,
+        /// One `(pair, scale)` lag-search scan: the prune cascade plus the
+        /// exact cells across the whole lag range.
+        lag_pair_scan,
+    }
+    counters {
+        /// Pairs whose similarity was compared against φ in the motif
+        /// candidate scan: the survivors of the prune tiers
+        /// (`prune_pairs_evaluated` of the discovery's matrix build).
+        pairs_evaluated,
+        /// Pairs accepted as motif candidates (`cor ≥ φ`).
+        candidate_pairs,
+        /// Pairs pruned below φ in the candidate scan.
+        pairs_pruned,
+        /// Windows added to an existing motif during greedy growth.
+        members_grown,
+        /// Motif pairs unified in the merge phase.
+        motifs_merged,
+        /// Comparisons landing within [`NEAR_THRESHOLD_BAND`] of φ.
+        near_phi,
+        /// Comparisons landing within [`NEAR_THRESHOLD_BAND`] of ¾φ.
+        near_group,
+        /// Near-threshold comparisons re-verified in f64 (the
+        /// `CondensedMatrix` f32 quantization guard).
+        f64_reverified,
+        /// Two-sample KS tests run by stationarity sweeps.
+        ks_tests,
+        /// Re-binnings served from prefix sums (pyramid base or a level).
+        rebins_pyramid,
+        /// Re-binnings that fell back to direct summation (non-integer
+        /// series).
+        rebins_direct,
+        /// Pyramid re-binnings that folded from a coarse level rather than
+        /// the per-sample base (a subset of `rebins_pyramid`).
+        level_folds,
+        /// Pairs a pruned matrix build considered (its conservation total:
+        /// the three prune tiers plus exact evaluations sum to this).
+        prune_pairs_total,
+        /// Pairs dismissed by the degenerate tier (constant side or too few
+        /// shared observations).
+        pairs_pruned_degenerate,
+        /// Pairs dismissed by the symbolized (SAX MINDIST) bound tier.
+        pairs_pruned_sax,
+        /// Pairs dismissed by the segment-mean (moment signature) bound tier.
+        pairs_pruned_moment,
+        /// Pairs that fell through pruning and were evaluated exactly.
+        prune_pairs_evaluated,
+        /// Exactly-evaluated pairs that were ineligible for pruning because
+        /// their finite masks differ (a subset of `prune_pairs_evaluated`).
+        prune_mask_fallthrough,
+        /// Lag-search `(pair, scale, lag)` cells considered — the
+        /// conservation total: the three prune tiers plus exact evaluations
+        /// sum to this.
+        lag_cells_total,
+        /// Lag cells dismissed wholesale because a side is degenerate at that
+        /// scale (no observations or zero variance).
+        lag_cells_pruned_degenerate,
+        /// Lag-0 cells dismissed by the [`wtts_stats::prune_pair`]
+        /// coefficient upper bounds on a shared finite mask.
+        lag_cells_pruned_sketch,
+        /// Lag cells dismissed by the segmented Cauchy–Schwarz energy bound.
+        lag_cells_pruned_energy,
+        /// Lag cells that fell through pruning and were evaluated exactly.
+        lag_cells_evaluated,
+    }
 }
 
 impl PipelineObs {
@@ -414,105 +506,79 @@ impl PipelineObs {
     pub fn new() -> PipelineObs {
         PipelineObs::default()
     }
-
-    /// Point-in-time copy of every stage and counter (relaxed loads; cheap
-    /// enough to poll while the pipeline runs).
-    pub fn snapshot(&self) -> ObsSnapshot {
-        ObsSnapshot {
-            stages: vec![
-                ("profile_build", self.profile_build.snapshot()),
-                ("row_fill", self.row_fill.snapshot()),
-                ("motif_discovery", self.motif_discovery.snapshot()),
-                ("stationarity_sweep", self.stationarity_sweep.snapshot()),
-                ("pyramid_build", self.pyramid_build.snapshot()),
-                ("rebin", self.rebin.snapshot()),
-                ("window_score", self.window_score.snapshot()),
-                ("sketch_build", self.sketch_build.snapshot()),
-                ("lag_prepare", self.lag_prepare.snapshot()),
-                ("lag_pair_scan", self.lag_pair_scan.snapshot()),
-            ],
-            counters: vec![
-                ("pairs_evaluated", self.pairs_evaluated.get()),
-                ("candidate_pairs", self.candidate_pairs.get()),
-                ("pairs_pruned", self.pairs_pruned.get()),
-                ("members_grown", self.members_grown.get()),
-                ("motifs_merged", self.motifs_merged.get()),
-                ("near_phi", self.near_phi.get()),
-                ("near_group", self.near_group.get()),
-                ("f64_reverified", self.f64_reverified.get()),
-                ("ks_tests", self.ks_tests.get()),
-                ("rebins_pyramid", self.rebins_pyramid.get()),
-                ("rebins_direct", self.rebins_direct.get()),
-                ("level_folds", self.level_folds.get()),
-                ("prune_pairs_total", self.prune_pairs_total.get()),
-                (
-                    "pairs_pruned_degenerate",
-                    self.pairs_pruned_degenerate.get(),
-                ),
-                ("pairs_pruned_sax", self.pairs_pruned_sax.get()),
-                ("pairs_pruned_moment", self.pairs_pruned_moment.get()),
-                ("prune_pairs_evaluated", self.prune_pairs_evaluated.get()),
-                ("prune_mask_fallthrough", self.prune_mask_fallthrough.get()),
-                ("lag_cells_total", self.lag_cells_total.get()),
-                (
-                    "lag_cells_pruned_degenerate",
-                    self.lag_cells_pruned_degenerate.get(),
-                ),
-                (
-                    "lag_cells_pruned_sketch",
-                    self.lag_cells_pruned_sketch.get(),
-                ),
-                (
-                    "lag_cells_pruned_energy",
-                    self.lag_cells_pruned_energy.get(),
-                ),
-                ("lag_cells_evaluated", self.lag_cells_evaluated.get()),
-            ],
-            stationarity_sim_millis: self.stationarity_sim_millis.snapshot(),
-        }
-    }
-}
-
-/// Serializable point-in-time report of a [`PipelineObs`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObsSnapshot {
-    /// Stage snapshots, in pipeline order, keyed by stage name.
-    pub stages: Vec<(&'static str, StageSnapshot)>,
-    /// Event counters, keyed by counter name.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Value histogram of stationarity pair similarities (thousandths).
-    pub stationarity_sim_millis: HistogramSnapshot,
 }
 
 impl ObsSnapshot {
+    /// The counter laws of a settled analysis run: the prune and lag tiers
+    /// each cover their total, every candidate-scan comparison is accepted
+    /// or pruned, and every re-binning took exactly one path.
+    pub const LAWS: &'static [Law<ObsSnapshot>] = &[
+        Law {
+            name: "prune_tiers",
+            holds: |o| {
+                o.pairs_pruned_degenerate
+                    + o.pairs_pruned_sax
+                    + o.pairs_pruned_moment
+                    + o.prune_pairs_evaluated
+                    == o.prune_pairs_total
+            },
+        },
+        Law {
+            name: "lag_tiers",
+            holds: |o| {
+                o.lag_cells_pruned_degenerate
+                    + o.lag_cells_pruned_sketch
+                    + o.lag_cells_pruned_energy
+                    + o.lag_cells_evaluated
+                    == o.lag_cells_total
+            },
+        },
+        Law {
+            name: "motif_candidates",
+            holds: |o| o.candidate_pairs + o.pairs_pruned == o.pairs_evaluated,
+        },
+        Law {
+            name: "rebin_paths",
+            holds: |o| o.rebins_pyramid + o.rebins_direct == o.rebin.entered,
+        },
+        Law {
+            name: "level_folds",
+            holds: |o| o.level_folds <= o.rebins_pyramid,
+        },
+    ];
+
+    /// Names of the laws this snapshot breaks — each stage's
+    /// [`StageSnapshot::LAWS`] as `"<stage>.<law>"`, then
+    /// [`ObsSnapshot::LAWS`] — empty when the books balance. Judges a
+    /// settled snapshot, taken after the observed work returned.
+    pub fn check_laws(&self) -> Vec<String> {
+        let mut failed = Vec::new();
+        for (name, stage) in self.stages() {
+            check(StageSnapshot::LAWS, stage, &format!("{name}."), &mut failed);
+        }
+        check(Self::LAWS, self, "", &mut failed);
+        failed
+    }
+
     /// Whether every stage satisfies `entered == exited + in_flight`.
     pub fn conserved(&self) -> bool {
-        self.stages.iter().all(|(_, s)| s.conserved())
+        self.stages().iter().all(|(_, s)| s.conserved())
     }
 
     /// Whether every stage is quiescent (`in_flight == 0`, books balanced).
     pub fn quiescent(&self) -> bool {
-        self.stages.iter().all(|(_, s)| s.quiescent())
-    }
-
-    /// The value of a named counter, 0 when absent.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
+        self.stages().iter().all(|(_, s)| s.quiescent())
     }
 
     /// The full report as a JSON object.
     pub fn to_json(&self) -> String {
         let stages: Vec<String> = self
-            .stages
+            .stages()
             .iter()
             .map(|(name, s)| format!("\"{name}\":{}", s.to_json()))
             .collect();
         let counters: Vec<String> = self
-            .counters
+            .counters()
             .iter()
             .map(|(name, v)| format!("\"{name}\":{v}"))
             .collect();
@@ -599,8 +665,7 @@ mod tests {
         let snap = obs.snapshot();
         assert!(snap.conserved());
         assert!(snap.quiescent());
-        assert_eq!(snap.counter("near_phi"), 1);
-        assert_eq!(snap.counter("no_such_counter"), 0);
+        assert_eq!(snap.near_phi, 1);
         let json = snap.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"row_fill\":{\"entered\":1,\"exited\":1,\"in_flight\":0"));
@@ -660,5 +725,166 @@ mod tests {
         assert!(s.quiescent());
         assert_eq!(s.entered, 800);
         assert_eq!(s.latency_ns.total(), 800);
+    }
+
+    /// Regression: a snapshot taken while other threads open and close
+    /// spans keeps `entered == exited + in_flight`. Spans used to close by
+    /// decrementing an `in_flight` atomic before bumping `exited`, and a
+    /// snapshot loading the three separately between those two steps
+    /// under-counted the right-hand side.
+    #[test]
+    fn live_snapshots_stay_conserved() {
+        let stage = Stage::default();
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        for _ in 0..200_000 {
+                            let _span = stage.enter();
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            while !workers.iter().all(|w| w.is_finished()) {
+                let s = stage.snapshot();
+                assert!(s.conserved(), "live snapshot broke its law: {s:?}");
+            }
+        });
+        assert!(stage.snapshot().quiescent());
+    }
+
+    fn settled(n: u64) -> StageSnapshot {
+        StageSnapshot {
+            entered: n,
+            exited: n,
+            in_flight: 0,
+            latency_ns: HistogramSnapshot {
+                counts: vec![1, n - 1],
+            },
+        }
+    }
+
+    /// A settled snapshot in which every law holds and every counter a law
+    /// reads is distinct and non-zero, so a dropped term breaks a law.
+    fn lawful() -> ObsSnapshot {
+        ObsSnapshot {
+            rebin: settled(50),
+            window_score: settled(9),
+            pairs_evaluated: 30,
+            candidate_pairs: 12,
+            pairs_pruned: 18,
+            rebins_pyramid: 41,
+            rebins_direct: 9,
+            level_folds: 7,
+            prune_pairs_total: 100,
+            pairs_pruned_degenerate: 11,
+            pairs_pruned_sax: 22,
+            pairs_pruned_moment: 33,
+            prune_pairs_evaluated: 34,
+            lag_cells_total: 200,
+            lag_cells_pruned_degenerate: 41,
+            lag_cells_pruned_sketch: 52,
+            lag_cells_pruned_energy: 63,
+            lag_cells_evaluated: 44,
+            ..ObsSnapshot::default()
+        }
+    }
+
+    /// Each declared law, broken by perturbing one input of a lawful
+    /// snapshot, is reported alone and by name.
+    #[test]
+    fn each_law_reports_exactly_its_own_name() {
+        assert_eq!(lawful().check_laws(), Vec::<String>::new());
+
+        type Perturb<S> = fn(&mut S);
+        let stage_cases: [(&str, Perturb<StageSnapshot>); 3] = [
+            ("exited_le_entered", |s| s.entered -= 1),
+            ("settled", |s| s.in_flight += 1),
+            ("timed", |s| s.latency_ns.counts[0] += 1),
+        ];
+        let declared: Vec<&str> = StageSnapshot::LAWS.iter().map(|l| l.name).collect();
+        assert_eq!(stage_cases.map(|(name, _)| name).to_vec(), declared);
+        for (name, perturb) in stage_cases {
+            let mut obs = lawful();
+            perturb(&mut obs.window_score);
+            assert_eq!(obs.check_laws(), [format!("window_score.{name}")]);
+        }
+
+        let obs_cases: [(&str, Perturb<ObsSnapshot>); 5] = [
+            ("prune_tiers", |o| o.pairs_pruned_sax += 1),
+            ("lag_tiers", |o| o.lag_cells_pruned_energy += 1),
+            ("motif_candidates", |o| o.candidate_pairs += 1),
+            ("rebin_paths", |o| o.rebins_direct += 1),
+            ("level_folds", |o| o.level_folds = o.rebins_pyramid + 1),
+        ];
+        let declared: Vec<&str> = ObsSnapshot::LAWS.iter().map(|l| l.name).collect();
+        assert_eq!(obs_cases.map(|(name, _)| name).to_vec(), declared);
+        for (name, perturb) in obs_cases {
+            let mut obs = lawful();
+            perturb(&mut obs);
+            assert_eq!(obs.check_laws(), [name]);
+        }
+    }
+
+    /// Pins the JSON report byte for byte on a registry in which every
+    /// stage and counter holds a distinct value, so a reordered, renamed or
+    /// dropped key cannot pass.
+    #[test]
+    fn obs_snapshot_json_is_pinned() {
+        let obs = PipelineObs::new();
+        let stages = [
+            &obs.profile_build,
+            &obs.row_fill,
+            &obs.motif_discovery,
+            &obs.stationarity_sweep,
+            &obs.pyramid_build,
+            &obs.rebin,
+            &obs.window_score,
+            &obs.sketch_build,
+            &obs.lag_prepare,
+            &obs.lag_pair_scan,
+        ];
+        for (k, stage) in (1u64..).zip(stages) {
+            stage.entered.add(k);
+            stage.exited.add(k);
+            stage.latency_ns.record(k * 100);
+        }
+        let counters = [
+            &obs.pairs_evaluated,
+            &obs.candidate_pairs,
+            &obs.pairs_pruned,
+            &obs.members_grown,
+            &obs.motifs_merged,
+            &obs.near_phi,
+            &obs.near_group,
+            &obs.f64_reverified,
+            &obs.ks_tests,
+            &obs.rebins_pyramid,
+            &obs.rebins_direct,
+            &obs.level_folds,
+            &obs.prune_pairs_total,
+            &obs.pairs_pruned_degenerate,
+            &obs.pairs_pruned_sax,
+            &obs.pairs_pruned_moment,
+            &obs.prune_pairs_evaluated,
+            &obs.prune_mask_fallthrough,
+            &obs.lag_cells_total,
+            &obs.lag_cells_pruned_degenerate,
+            &obs.lag_cells_pruned_sketch,
+            &obs.lag_cells_pruned_energy,
+            &obs.lag_cells_evaluated,
+        ];
+        for (k, counter) in (11u64..).zip(counters) {
+            counter.add(k);
+        }
+        obs.stationarity_sim_millis.record(600);
+        obs.stationarity_sim_millis.record(850);
+        assert_eq!(
+            obs.snapshot().to_json(),
+            r#"{"stages":{"profile_build":{"entered":1,"exited":1,"in_flight":0,"latency_ns":{"count":1,"p50_le":127,"p99_le":127,"mean_le":127,"buckets":[[127,1]]}},"row_fill":{"entered":2,"exited":2,"in_flight":0,"latency_ns":{"count":1,"p50_le":255,"p99_le":255,"mean_le":255,"buckets":[[255,1]]}},"motif_discovery":{"entered":3,"exited":3,"in_flight":0,"latency_ns":{"count":1,"p50_le":511,"p99_le":511,"mean_le":511,"buckets":[[511,1]]}},"stationarity_sweep":{"entered":4,"exited":4,"in_flight":0,"latency_ns":{"count":1,"p50_le":511,"p99_le":511,"mean_le":511,"buckets":[[511,1]]}},"pyramid_build":{"entered":5,"exited":5,"in_flight":0,"latency_ns":{"count":1,"p50_le":511,"p99_le":511,"mean_le":511,"buckets":[[511,1]]}},"rebin":{"entered":6,"exited":6,"in_flight":0,"latency_ns":{"count":1,"p50_le":1023,"p99_le":1023,"mean_le":1023,"buckets":[[1023,1]]}},"window_score":{"entered":7,"exited":7,"in_flight":0,"latency_ns":{"count":1,"p50_le":1023,"p99_le":1023,"mean_le":1023,"buckets":[[1023,1]]}},"sketch_build":{"entered":8,"exited":8,"in_flight":0,"latency_ns":{"count":1,"p50_le":1023,"p99_le":1023,"mean_le":1023,"buckets":[[1023,1]]}},"lag_prepare":{"entered":9,"exited":9,"in_flight":0,"latency_ns":{"count":1,"p50_le":1023,"p99_le":1023,"mean_le":1023,"buckets":[[1023,1]]}},"lag_pair_scan":{"entered":10,"exited":10,"in_flight":0,"latency_ns":{"count":1,"p50_le":1023,"p99_le":1023,"mean_le":1023,"buckets":[[1023,1]]}}},"counters":{"pairs_evaluated":11,"candidate_pairs":12,"pairs_pruned":13,"members_grown":14,"motifs_merged":15,"near_phi":16,"near_group":17,"f64_reverified":18,"ks_tests":19,"rebins_pyramid":20,"rebins_direct":21,"level_folds":22,"prune_pairs_total":23,"pairs_pruned_degenerate":24,"pairs_pruned_sax":25,"pairs_pruned_moment":26,"prune_pairs_evaluated":27,"prune_mask_fallthrough":28,"lag_cells_total":29,"lag_cells_pruned_degenerate":30,"lag_cells_pruned_sketch":31,"lag_cells_pruned_energy":32,"lag_cells_evaluated":33},"stationarity_sim_millis":{"count":2,"p50_le":1023,"p99_le":1023,"mean_le":1023,"buckets":[[1023,2]]},"conserved":true,"quiescent":true}"#
+        );
     }
 }

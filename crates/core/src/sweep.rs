@@ -860,34 +860,19 @@ mod tests {
         assert_eq!(with_obs, without, "observability must not change results");
 
         let snap = obs.snapshot();
-        assert!(snap.conserved());
-        assert!(snap.quiescent());
-        let rebins = snap
-            .stages
-            .iter()
-            .find(|(n, _)| *n == "rebin")
-            .map(|(_, s)| s.entered)
-            .unwrap();
-        assert_eq!(rebins, (series.len() * candidates.len()) as u64);
-        assert_eq!(
-            snap.counter("rebins_pyramid") + snap.counter("rebins_direct"),
-            rebins,
-            "every rebin takes exactly one path"
-        );
+        assert_eq!(snap.check_laws(), Vec::<String>::new());
+        assert_eq!(snap.rebin.entered, (series.len() * candidates.len()) as u64);
         // One integer series: its 8 cells ride the pyramid; the fractional
         // series' 8 cells fall back.
-        assert_eq!(snap.counter("rebins_direct"), candidates.len() as u64);
-        assert!(snap.counter("level_folds") <= snap.counter("rebins_pyramid"));
+        assert_eq!(snap.rebins_direct, candidates.len() as u64);
         // The offset-0 candidates (2h, 4h) share gcd 2h > 1m, and the
         // offset-120 candidates (8h, 12h) share gcd 4h: both levels fold.
-        assert_eq!(snap.counter("level_folds"), candidates.len() as u64);
-        let pyr = snap
-            .stages
-            .iter()
-            .find(|(n, _)| *n == "pyramid_build")
-            .map(|(_, s)| s.entered)
-            .unwrap();
-        assert_eq!(pyr, series.len() as u64, "one pyramid build per series");
+        assert_eq!(snap.level_folds, candidates.len() as u64);
+        assert_eq!(
+            snap.pyramid_build.entered,
+            series.len() as u64,
+            "one pyramid build per series"
+        );
     }
 
     #[test]

@@ -240,8 +240,8 @@ fn killed_mid_week_recovery_is_bit_identical() {
         "metrics books diverged beyond durability bookkeeping"
     );
     let m = &summary.metrics;
-    assert!(m.fully_accounted());
-    assert!(m.durably_accounted(), "wal_records must equal offered");
+    assert_eq!(m.check_laws(), Vec::<String>::new());
+    assert_eq!(m.wal_records, m.offered, "the WAL covers the stream");
     assert!(m.wal_replayed > 0, "recovery never skipped durable reports");
     assert!(m.snapshots_written > 0, "snapshot cadence never fired");
 }
@@ -419,8 +419,7 @@ proptest! {
             summary.metrics.replay_invariant_core(),
             live_summary.metrics.replay_invariant_core()
         );
-        prop_assert!(summary.metrics.fully_accounted());
-        prop_assert!(summary.metrics.durably_accounted());
+        prop_assert_eq!(summary.metrics.check_laws(), Vec::<String>::new());
     }
 }
 
@@ -548,8 +547,7 @@ proptest! {
 
         // Zero false loss: bit-identical, or a typed gap with balanced books.
         let m = &summary.metrics;
-        prop_assert!(m.fully_accounted());
-        prop_assert!(m.durably_accounted());
+        prop_assert_eq!(m.check_laws(), Vec::<String>::new());
         match durability {
             Durability::Durable => {
                 prop_assert_eq!(m.durability_gap(), 0);

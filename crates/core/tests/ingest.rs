@@ -77,13 +77,7 @@ fn two_hundred_gateway_week_fully_accounted() {
     let m = &summary.metrics;
 
     assert_eq!(m.offered, offered);
-    assert!(
-        m.fully_accounted(),
-        "ingested {} + dropped {} != offered {}",
-        m.ingested,
-        m.dropped(),
-        m.offered
-    );
+    assert_eq!(m.check_laws(), Vec::<String>::new());
     // The chaos channel must actually have exercised every degradation path.
     assert!(m.dropped_duplicate > 0, "no duplicates seen");
     assert!(m.dropped_late > 0, "no late reports seen");

@@ -156,22 +156,13 @@ fn near_threshold_pair_is_reverified_and_counted() {
     let motifs = discover_observed(&[x, y], &MotifConfig::default(), &obs);
     assert!(motifs.is_empty());
     let snap = obs.snapshot();
-    assert!(snap.quiescent(), "all stages quiescent after a run");
+    assert_eq!(snap.check_laws(), Vec::<String>::new());
     assert!(
-        snap.counter("f64_reverified") >= 1,
+        snap.f64_reverified >= 1,
         "the constructed pair must land in the re-verification band"
     );
-    assert_eq!(snap.counter("pairs_evaluated"), 1);
-    assert_eq!(
-        snap.counter("candidate_pairs") + snap.counter("pairs_pruned"),
-        snap.counter("pairs_evaluated"),
-        "every evaluated pair is either a candidate or pruned"
-    );
-    assert_eq!(
-        snap.counter("near_phi"),
-        1,
-        "the pair sits within 1e-3 of φ"
-    );
+    assert_eq!(snap.pairs_evaluated, 1);
+    assert_eq!(snap.near_phi, 1, "the pair sits within 1e-3 of φ");
 }
 
 /// Fixture for the bit-identity checks: three clusters plus noise and a
@@ -246,10 +237,10 @@ fn observed_runs_are_bit_identical_to_unobserved() {
 
     // And the registry that watched all of it is coherent.
     let snap = obs.snapshot();
-    assert!(snap.quiescent());
-    assert!(snap.counter("pairs_evaluated") > 0);
-    assert!(snap.counter("prune_pairs_total") > 0);
-    assert!(snap.counter("ks_tests") > 0);
+    assert_eq!(snap.check_laws(), Vec::<String>::new());
+    assert!(snap.pairs_evaluated > 0);
+    assert!(snap.prune_pairs_total > 0);
+    assert!(snap.ks_tests > 0);
     assert!(snap.stationarity_sim_millis.total() > 0);
 }
 
@@ -263,13 +254,6 @@ fn row_fill_stages_conserve_across_threads() {
     let config = CorMatrixConfig { threads: Some(4) };
     let _ = cor_matrix(&profiles, &config, Some(&obs));
     let snap = obs.snapshot();
-    assert!(snap.quiescent(), "{snap:?}");
-    let row_fill = &snap
-        .stages
-        .iter()
-        .find(|(n, _)| *n == "row_fill")
-        .unwrap()
-        .1;
-    assert_eq!(row_fill.entered, (windows.len() - 1) as u64);
-    assert_eq!(row_fill.latency_ns.total(), row_fill.exited);
+    assert_eq!(snap.check_laws(), Vec::<String>::new());
+    assert_eq!(snap.row_fill.entered, (windows.len() - 1) as u64);
 }

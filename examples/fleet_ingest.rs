@@ -16,10 +16,11 @@
 //! cargo run --release --example fleet_ingest -- --wal-dir /tmp/wtts-wal --fault-seed 42
 //! ```
 //!
-//! With `--metrics-json [PATH]` the final [`MetricsSnapshot`] — counters,
-//! per-shard queue gauges and batch-stage latency histograms, plus the
-//! conservation verdict — is emitted as JSON to `PATH` (or stdout when no
-//! path is given).
+//! Every run checks the final [`MetricsSnapshot`] against its declared
+//! conservation laws and aborts naming any it breaks. With
+//! `--metrics-json [PATH]` the snapshot — counters, per-shard queue gauges
+//! and batch-stage latency histograms, plus the conservation verdicts — is
+//! emitted as JSON to `PATH` (or stdout when no path is given).
 //!
 //! With `--wal-dir DIR` the ingest runs through the durable
 //! [`DurablePipeline`]: every consumed report is logged to rotated,
@@ -28,7 +29,10 @@
 //! `--kill-after N` aborts the process (no unwinding, no flushing — a real
 //! crash) after `N` reports have been offered; a later invocation with
 //! `--recover` loads the durable prefix, replays the WAL tail, re-feeds
-//! the stream and finishes with bit-identical results. A crash leaves a
+//! the stream and finishes with bit-identical results: a durable run prints
+//! its state digest and its replay-invariant books
+//! ([`MetricsSnapshot::replay_invariant_core`]) for comparison with an
+//! uninterrupted run. A crash leaves a
 //! stale single-writer lock behind; `--takeover` fences it (a live owner
 //! is always refused). `--fsync` makes WAL flushes and snapshots durable
 //! against OS crashes too; `--snapshot-every N` and `--segment-bytes N`
@@ -231,16 +235,16 @@ fn main() {
                     durability,
                 } => {
                     println!("state digest: {state_digest:016x}");
+                    println!(
+                        "replay-invariant books: {}",
+                        summary.metrics.replay_invariant_core().to_json()
+                    );
                     match durability {
                         Durability::Durable => println!("durability: durable (no gap)"),
                         Durability::Degraded { gap } => println!(
                             "durability: DEGRADED — {gap} reports in a typed durability gap"
                         ),
                     }
-                    assert!(
-                        summary.metrics.durably_accounted(),
-                        "every offered report must be in the WAL or a typed gap"
-                    );
                     *summary
                 }
                 // `KillMode::SigKill` aborts the process inside `run`.
@@ -251,12 +255,13 @@ fn main() {
 
     // ---- Results: metrics first, then per-gateway highlights. ------------
     let m = &summary.metrics;
+    let failed = m.check_laws();
+    assert!(failed.is_empty(), "conservation laws broken: {failed:?}");
     println!("ingested {} / {} offered", m.ingested, m.offered);
     println!(
         "dropped: {} late, {} duplicate, {} future-jump ({} reset-spanning gaps voided)",
         m.dropped_late, m.dropped_duplicate, m.dropped_future_jump, m.reset_spanning_gaps
     );
-    assert!(m.fully_accounted(), "every report must be accounted for");
     println!(
         "windows: {} sealed, {} matched, {} novel, {} partial",
         m.windows_sealed, m.windows_matched, m.windows_novel, m.partial_windows

@@ -10,10 +10,10 @@
 //! *instrumented* analysis pass — profile and sketch build, the
 //! sketch-pruned row fill behind motif discovery, and a stationarity sweep
 //! over the fleet's daily windows, observed by a [`PipelineObs`]
-//! registry — and emits the resulting
-//! [`ObsSnapshot`] (stage spans, counters, near-threshold instrument,
-//! conservation verdict) as JSON to `PATH` (or stdout when no path is
-//! given).
+//! registry — checks the resulting [`ObsSnapshot`] against its declared
+//! conservation laws, aborting with the name of any it breaks, and emits
+//! it (stage spans, counters, near-threshold instrument, conservation
+//! verdict) as JSON to `PATH` (or stdout when no path is given).
 
 use std::collections::HashMap;
 use wtts::core::lagsearch::{lag_search, LagSearchConfig};
@@ -73,7 +73,7 @@ fn observed_analysis(fleet: &Fleet, obs: &PipelineObs) {
 
     // Multi-scale lead/lag discovery over the same gateway subset: the
     // scale × lag grid runs through the pruned lag-search engine, so the
-    // snapshot also carries the cell-conservation counters ci.sh checks.
+    // snapshot also carries the lag-tier counters its laws check.
     let series: Vec<_> = (0..gateways)
         .map(|id| fleet.gateway(id).aggregate_total())
         .collect();
@@ -198,7 +198,8 @@ fn main() {
         let obs = PipelineObs::new();
         observed_analysis(&fleet, &obs);
         let snap = obs.snapshot();
-        assert!(snap.quiescent(), "all stages settle before the snapshot");
+        let failed = snap.check_laws();
+        assert!(failed.is_empty(), "conservation laws broken: {failed:?}");
         let json = snap.to_json();
         match target {
             Some(path) => {
