@@ -1,6 +1,6 @@
 //! Benchmark of the dominant-device scan (Definition 4) against the
 //! per-device from-scratch scan it replaced, frozen in this file as the
-//! baseline, plus the two Section 6.2 baseline rankings.
+//! baseline.
 //!
 //! The baseline calls `correlation_similarity(total, device)` once per
 //! device, so every call re-compacts, re-ranks and re-sorts the gateway
@@ -9,23 +9,20 @@
 //! every device whose finite minutes lie inside the total's.
 //!
 //! Both scans are asserted bit-identical (device order, ranks and
-//! similarity bits) on the bench gateways **before** any timing. Besides
-//! the interactive Criterion output, a run refreshes the committed
-//! baseline at `results/BENCH_dominance.json` (median wall times of both
-//! scans on one 4-week simulated gateway and the single-thread speedup,
-//! gated in CI by `scripts/perf_gate.py` against
+//! similarity bits) on the bench gateways **before** any timing. A run
+//! refreshes the committed baseline at `results/BENCH_dominance.json`
+//! (median wall times of both scans on one 4-week simulated gateway and the
+//! single-thread speedup, gated in CI by `scripts/perf_gate.py` against
 //! `results/PERF_BUDGET.json`).
 //!
 //! `--smoke` asserts bit-identity on the first gateways of a 4-week fleet
 //! without timing or touching the committed baseline (used by
 //! `scripts/ci.sh`).
 
-use criterion::{black_box, criterion_group, Criterion};
+use std::hint::black_box;
 use std::time::Instant;
-use wtts_core::dominance::{
-    dominant_devices, euclidean_ranking, rank_dominants, volume_ranking, DominantDevice,
-    DOMINANCE_PHI,
-};
+use wtts_bench::perf;
+use wtts_core::dominance::{dominant_devices, rank_dominants, DominantDevice, DOMINANCE_PHI};
 use wtts_core::similarity::correlation_similarity;
 use wtts_gwsim::{generate_gateway, FleetConfig};
 use wtts_timeseries::TimeSeries;
@@ -87,38 +84,6 @@ fn assert_bit_identical(total: &TimeSeries, devices: &[TimeSeries], what: &str) 
     }
 }
 
-fn bench_dominance(c: &mut Criterion) {
-    let (total, devices) = gateway(0);
-    assert_bit_identical(&total, &devices, "gateway 0");
-
-    let mut group = c.benchmark_group("dominance");
-    group.sample_size(10);
-    group.bench_function("correlation_phi06", |b| {
-        b.iter(|| dominant_devices(black_box(&total), black_box(&devices), DOMINANCE_PHI))
-    });
-    group.bench_function("correlation_phi06_baseline", |b| {
-        b.iter(|| dominant_devices_baseline(black_box(&total), black_box(&devices), DOMINANCE_PHI))
-    });
-    group.bench_function("euclidean_ranking", |b| {
-        b.iter(|| euclidean_ranking(black_box(&total), black_box(&devices)))
-    });
-    group.bench_function("volume_ranking", |b| {
-        b.iter(|| volume_ranking(black_box(&devices)))
-    });
-    group.finish();
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    xs[xs.len() / 2]
-}
-
-fn time_ms<F: FnOnce() -> Vec<DominantDevice>>(f: F) -> f64 {
-    let start = Instant::now();
-    black_box(f());
-    start.elapsed().as_secs_f64() * 1e3
-}
-
 /// Verifies bit-identity on the checked gateways, then times both scans on
 /// gateway 0 and writes the JSON baseline the repo commits under
 /// `results/`.
@@ -130,14 +95,14 @@ fn write_baseline() {
     let (total, devices) = gateway(0);
     let (mut baseline, mut profiled) = (Vec::new(), Vec::new());
     for _ in 0..SAMPLES {
-        baseline.push(time_ms(|| {
+        baseline.push(perf::time_ms(|| {
             dominant_devices_baseline(black_box(&total), black_box(&devices), DOMINANCE_PHI)
         }));
-        profiled.push(time_ms(|| {
+        profiled.push(perf::time_ms(|| {
             dominant_devices(black_box(&total), black_box(&devices), DOMINANCE_PHI)
         }));
     }
-    let (baseline_ms, profiled_ms) = (median(baseline), median(profiled));
+    let (baseline_ms, profiled_ms) = (perf::median(baseline), perf::median(profiled));
     let speedup = baseline_ms / profiled_ms;
     let dominants = dominant_devices(&total, &devices, DOMINANCE_PHI).len();
     println!(
@@ -145,22 +110,13 @@ fn write_baseline() {
         devices.len(),
         total.len()
     );
-    let available = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let available = perf::available_parallelism();
     let json = format!(
         "{{\n\"bench\": \"dominance\",\n\"baseline\": \"per-device from-scratch scan frozen in benches/dominance.rs: correlation_similarity(total, device) per device, then rank_dominants\",\n\"weeks\": {WEEKS},\n\"minutes\": {},\n\"devices\": {},\n\"phi\": {DOMINANCE_PHI},\n\"dominants\": {dominants},\n\"checked_gateways\": {CHECKED_GATEWAYS},\n\"available_parallelism\": {available},\n\"threads\": 1,\n\"samples\": {SAMPLES},\n\"baseline_ms\": {baseline_ms:.3},\n\"profiled_ms\": {profiled_ms:.3},\n\"speedup_single_thread\": {speedup:.2},\n\"bit_identical\": true\n}}\n",
         total.len(),
         devices.len(),
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_dominance.json"
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("baseline written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    perf::write_record("results/BENCH_dominance.json", &json);
 }
 
 /// CI smoke: bit-identity on the checked gateways, no timing, no baseline
@@ -177,14 +133,6 @@ fn smoke() {
     );
 }
 
-criterion_group!(benches, bench_dominance);
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    benches();
-    write_baseline();
+    perf::dispatch(smoke, write_baseline);
 }

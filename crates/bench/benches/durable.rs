@@ -2,8 +2,8 @@
 //! 40-gateway week pushed through the chaos channel and ingested via
 //! [`DurablePipeline`] at fsync on/off across three segment-rotation sizes.
 //!
-//! Besides the interactive Criterion output, a run refreshes the committed
-//! baseline at `results/BENCH_durable.json`: median wall time and
+//! A run refreshes the committed baseline at `results/BENCH_durable.json`:
+//! median wall time and
 //! reports/second per cell, plus the per-batch append latency distribution
 //! (p50/p99/p99.9/max upper bounds from the lock-free `wal_append` stage
 //! histogram). The shard worker logs each popped batch (1024 reports by
@@ -22,50 +22,20 @@
 //! durable_smoke` gates against the floor in `results/PERF_BUDGET.json`.
 //! An in-run ratio needs no committed baseline and holds across machines.
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+use wtts_bench::perf;
 use wtts_core::ingest::{IngestConfig, IngestPipeline, IngestReport, IngestSummary};
 use wtts_core::{wal_disk_usage, Durability, DurableConfig, DurablePipeline, DurableRun};
-use wtts_gwsim::{gateway_reports, ChannelConfig, Fleet, FleetConfig, TaggedReport};
 
 const FLEET_GATEWAYS: usize = 40;
 const SEGMENT_BYTES: [u64; 3] = [256 * 1024, 1024 * 1024, 8 * 1024 * 1024];
 
-fn envelope(t: &TaggedReport) -> IngestReport {
-    IngestReport {
-        gateway: t.gateway as u64,
-        device: t.device as u32,
-        at: t.report.at,
-        cum_in: t.report.cum_in,
-        cum_out: t.report.cum_out,
-    }
-}
-
-/// One simulated fleet week through a channel with everything wrong at
-/// once, so the WAL logs the same messy stream the pipeline degrades on.
-fn fleet_reports(n_gateways: usize) -> Vec<IngestReport> {
-    let channel = ChannelConfig {
-        loss: 0.02,
-        duplication: 0.01,
-        reorder: 0.01,
-    };
-    let fleet = Fleet::new(FleetConfig {
-        n_gateways,
-        weeks: 1,
-        ..FleetConfig::default()
-    });
-    let mut out = Vec::new();
-    for id in 0..n_gateways {
-        let gw = fleet.gateway(id);
-        let mut rng = SmallRng::seed_from_u64(0xD04A8 + id as u64);
-        out.extend(gateway_reports(&gw, channel, &mut rng).iter().map(envelope));
-    }
-    out
-}
+/// Seed salt of the chaos-channel stream ([`perf::fleet_reports`]) the WAL
+/// logs.
+const SEED_SALT: u64 = 0xD04A8;
 
 /// A fresh WAL directory per run, unique across iterations and processes.
 fn fresh_dir() -> PathBuf {
@@ -129,37 +99,10 @@ fn run_plain(reports: &[IngestReport]) -> IngestSummary {
     IngestPipeline::new(config(), Vec::new()).run(reports.iter().copied())
 }
 
-fn bench_durable(c: &mut Criterion) {
-    let reports = fleet_reports(FLEET_GATEWAYS);
-    let mut group = c.benchmark_group("durable");
-    group.sample_size(10);
-    for fsync in [false, true] {
-        let label = if fsync { "fsync" } else { "buffered" };
-        group.bench_with_input(BenchmarkId::new(label, "1MiB"), &fsync, |b, &fsync| {
-            b.iter(|| run(black_box(&reports), fsync, 1024 * 1024))
-        });
-    }
-    group.finish();
-}
-
-/// Wall time of one call, in milliseconds.
-fn time_ms<F: FnOnce()>(f: F) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-/// Median wall time of `samples` runs, in milliseconds.
-fn median_ms<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    let mut times: Vec<f64> = (0..samples).map(|_| time_ms(&mut f)).collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    times[times.len() / 2]
-}
-
 /// Re-times every fsync × segment-size cell and writes the JSON baseline
 /// the repo commits under `results/`.
 fn write_baseline() {
-    let reports = fleet_reports(FLEET_GATEWAYS);
+    let reports = perf::fleet_reports(FLEET_GATEWAYS, SEED_SALT);
     let offered = reports.len();
     let mut entries = Vec::new();
     for fsync in [false, true] {
@@ -169,9 +112,7 @@ fn write_baseline() {
             let (summary, disk) = run(&reports, fsync, segment_bytes);
             let m = &summary.metrics;
             let wal = &m.per_shard[0].wal_append.latency_ns;
-            let t = median_ms(3, || {
-                black_box(run(black_box(&reports), fsync, segment_bytes));
-            });
+            let t = perf::median_ms(3, || run(black_box(&reports), fsync, segment_bytes));
             let rps = offered as f64 / (t / 1e3);
             // One sample per logged batch; about three batches in four
             // carry a group-commit flush, so p50 already includes it and
@@ -189,21 +130,12 @@ fn write_baseline() {
             ));
         }
     }
-    let available = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let available = perf::available_parallelism();
     let json = format!(
         "{{\n\"bench\": \"durable\",\n\"gateways\": {FLEET_GATEWAYS},\n\"weeks\": 1,\n\"offered_reports\": {offered},\n\"available_parallelism\": {available},\n\"runs\": [\n{}\n]\n}}\n",
         entries.join(",\n"),
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_durable.json"
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("baseline written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    perf::write_record("results/BENCH_durable.json", &json);
 }
 
 /// CI smoke: a small fleet, buffered WAL at the default rotation size,
@@ -213,7 +145,7 @@ fn write_baseline() {
 fn smoke() {
     const SMOKE_GATEWAYS: usize = 8;
     const SAMPLES: usize = 5;
-    let reports = fleet_reports(SMOKE_GATEWAYS);
+    let reports = perf::fleet_reports(SMOKE_GATEWAYS, SEED_SALT);
     let start = Instant::now();
     let (summary, disk) = run(&reports, false, 1024 * 1024);
     let elapsed = start.elapsed();
@@ -237,11 +169,9 @@ fn smoke() {
     // both sides of the ratio alike.
     let (mut plain_ms, mut durable_ms) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..SAMPLES {
-        plain_ms = plain_ms.min(time_ms(|| {
-            black_box(run_plain(black_box(&reports)));
-        }));
-        durable_ms = durable_ms.min(time_ms(|| {
-            black_box(run(black_box(&reports), false, 1024 * 1024));
+        plain_ms = plain_ms.min(perf::time_ms(|| run_plain(black_box(&reports))));
+        durable_ms = durable_ms.min(perf::time_ms(|| {
+            run(black_box(&reports), false, 1024 * 1024)
         }));
     }
     let ratio = plain_ms / durable_ms;
@@ -253,20 +183,9 @@ fn smoke() {
         "{{\n\"bench\": \"durable_smoke\",\n\"gateways\": {SMOKE_GATEWAYS},\n\"weeks\": 1,\n\"offered_reports\": {},\n\"samples\": {SAMPLES},\n\"plain_min_ms\": {plain_ms:.3},\n\"durable_min_ms\": {durable_ms:.3},\n\"plain_over_durable\": {ratio:.3}\n}}\n",
         m.offered,
     );
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/perf");
-    std::fs::create_dir_all(dir).expect("create scratch record dir");
-    let path = format!("{dir}/durable_smoke.json");
-    std::fs::write(&path, json).expect("write durable smoke record");
-    println!("scratch record written to {path}");
+    perf::write_record("target/perf/durable_smoke.json", &json);
 }
 
-criterion_group!(benches, bench_durable);
-
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    benches();
-    write_baseline();
+    perf::dispatch(smoke, write_baseline);
 }

@@ -14,8 +14,8 @@
 //! profiles and the fused correlation + stationarity loop across all 180
 //! candidates, and serves both figures from a single result.
 //!
-//! Besides the interactive Criterion output, a run refreshes the committed
-//! baseline at `results/BENCH_aggregation.json` (median wall times, the
+//! A run refreshes the committed baseline at
+//! `results/BENCH_aggregation.json` (median wall times, the
 //! single-thread speedup, and the bit-identity verdict — every score and
 //! stationarity check is compared against the baseline before timing).
 //!
@@ -23,8 +23,9 @@
 //! plus the observability conservation laws, without touching the committed
 //! baseline.
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
+use std::hint::black_box;
 use std::time::Instant;
+use wtts_bench::perf;
 use wtts_core::engine::cor_profiled;
 use wtts_core::obs::PipelineObs;
 use wtts_core::stationarity::{strong_stationarity, StationarityCheck};
@@ -186,45 +187,6 @@ fn assert_bit_identical(sweep: &DailySweep, baseline: &[BaselineCell]) {
     }
 }
 
-fn bench_granularity_sweep(c: &mut Criterion) {
-    let series = gateway_series(WEEKS);
-    let candidates = full_candidates();
-    let mut group = c.benchmark_group("granularity_sweep");
-    group.sample_size(10);
-    group.bench_function("baseline_daily_candidates", |b| {
-        b.iter(|| {
-            baseline_sweep(
-                black_box(&series),
-                WEEKS,
-                black_box(Granularity::daily_candidates()),
-            )
-        })
-    });
-    for threads in THREAD_COUNTS {
-        group.bench_with_input(
-            BenchmarkId::new("sweep_1_180", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| pyramid_sweep(black_box(&series), WEEKS, &candidates, threads, None))
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Median wall time of `samples` runs, in milliseconds.
-fn median_ms<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    times[times.len() / 2]
-}
-
 /// Verifies bit-identity on the full grid, then times both paths and writes
 /// the JSON baseline the repo commits under `results/`.
 fn write_baseline() {
@@ -235,29 +197,19 @@ fn write_baseline() {
     let sweep = pyramid_sweep(&series, WEEKS, &candidates, 1, None);
     assert_bit_identical(&sweep, &reference);
 
-    let baseline_ms = median_ms(5, || {
-        black_box(baseline_sweep(black_box(&series), WEEKS, &candidates));
-    });
+    let baseline_ms = perf::median_ms(5, || baseline_sweep(black_box(&series), WEEKS, &candidates));
     let mut entries = Vec::new();
     let mut single = f64::NAN;
     for threads in THREAD_COUNTS {
-        let t = median_ms(5, || {
-            black_box(pyramid_sweep(
-                black_box(&series),
-                WEEKS,
-                &candidates,
-                threads,
-                None,
-            ));
+        let t = perf::median_ms(5, || {
+            pyramid_sweep(black_box(&series), WEEKS, &candidates, threads, None)
         });
         if threads == 1 {
             single = t;
         }
         entries.push(format!("    \"{threads}\": {t:.3}"));
     }
-    let available = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let available = perf::available_parallelism();
     let json = format!(
         "{{\n\"bench\": \"granularity_sweep\",\n\"baseline\": \"pre-PR figs 7+8 pattern: daily_window_correlation + 2x stationary_weekday_count per candidate, each aggregating from scratch\",\n\"series_len\": {},\n\"weeks\": {WEEKS},\n\"candidates\": {},\n\"available_parallelism\": {available},\n\"baseline_ms\": {baseline_ms:.3},\n\"sweep_ms_by_threads\": {{\n{}\n}},\n\"speedup_single_thread\": {:.2},\n\"bit_identical\": true\n}}\n",
         series.len(),
@@ -265,14 +217,7 @@ fn write_baseline() {
         entries.join(",\n"),
         baseline_ms / single,
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_aggregation.json"
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("baseline written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    perf::write_record("results/BENCH_aggregation.json", &json);
 }
 
 /// CI smoke: a two-week series over the paper's daily candidates, with
@@ -315,13 +260,6 @@ fn smoke() {
     );
 }
 
-criterion_group!(benches, bench_granularity_sweep);
-
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    benches();
-    write_baseline();
+    perf::dispatch(smoke, write_baseline);
 }

@@ -2,58 +2,27 @@
 //! 200-gateway week of raw counter reports, pushed through a chaos channel
 //! (loss, duplication, reordering) and ingested at 1 / 2 / 4 shards.
 //!
-//! Besides the interactive Criterion output, a run refreshes the committed
-//! baseline at `results/BENCH_ingest.json` (median wall time and
-//! reports/second per shard count, plus the accounting invariant check).
-//! Shard scaling is real only when worker threads get their own cores; the
-//! baseline records `available_parallelism` so numbers from a one-core
-//! container are read for what they are.
+//! A run refreshes the committed baseline at `results/BENCH_ingest.json`
+//! (median wall time and reports/second per shard count, plus the
+//! accounting invariant check). Shard scaling is real only when worker
+//! threads get their own cores; the baseline records
+//! `available_parallelism` so numbers from a one-core container are read
+//! for what they are.
 //!
 //! `--smoke` runs a fast single-shard pass over a small fleet and asserts
 //! the conservation law, without touching the committed baseline (used by
 //! `scripts/ci.sh`).
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use std::hint::black_box;
 use std::time::Instant;
+use wtts_bench::perf;
 use wtts_core::ingest::{IngestConfig, IngestPipeline, IngestReport, IngestSummary};
-use wtts_gwsim::{gateway_reports, ChannelConfig, Fleet, FleetConfig, TaggedReport};
 
 const FLEET_GATEWAYS: usize = 200;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn envelope(t: &TaggedReport) -> IngestReport {
-    IngestReport {
-        gateway: t.gateway as u64,
-        device: t.device as u32,
-        at: t.report.at,
-        cum_in: t.report.cum_in,
-        cum_out: t.report.cum_out,
-    }
-}
-
-/// One simulated fleet week through a channel with everything wrong at
-/// once, so the pipeline's degradation paths are part of the hot loop.
-fn fleet_reports(n_gateways: usize) -> Vec<IngestReport> {
-    let channel = ChannelConfig {
-        loss: 0.02,
-        duplication: 0.01,
-        reorder: 0.01,
-    };
-    let fleet = Fleet::new(FleetConfig {
-        n_gateways,
-        weeks: 1,
-        ..FleetConfig::default()
-    });
-    let mut out = Vec::new();
-    for id in 0..n_gateways {
-        let gw = fleet.gateway(id);
-        let mut rng = SmallRng::seed_from_u64(0xBE7C4 + id as u64);
-        out.extend(gateway_reports(&gw, channel, &mut rng).iter().map(envelope));
-    }
-    out
-}
+/// Seed salt of the chaos channel ([`perf::fleet_reports`]).
+const SEED_SALT: u64 = 0xBE7C4;
 
 fn config(shards: usize) -> IngestConfig {
     IngestConfig {
@@ -75,43 +44,16 @@ fn run(reports: &[IngestReport], shards: usize) -> IngestSummary {
     summary
 }
 
-fn bench_ingest(c: &mut Criterion) {
-    let reports = fleet_reports(FLEET_GATEWAYS);
-    let mut group = c.benchmark_group("ingest");
-    group.sample_size(10);
-    for shards in SHARD_COUNTS {
-        group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
-            b.iter(|| run(black_box(&reports), shards))
-        });
-    }
-    group.finish();
-}
-
-/// Median wall time of `samples` runs, in milliseconds.
-fn median_ms<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    times[times.len() / 2]
-}
-
 /// Re-times every shard count and writes the JSON baseline the repo
 /// commits under `results/`.
 fn write_baseline() {
-    let reports = fleet_reports(FLEET_GATEWAYS);
+    let reports = perf::fleet_reports(FLEET_GATEWAYS, SEED_SALT);
     let offered = reports.len();
     let reference = run(&reports, 1);
     let mut entries = Vec::new();
     let mut single = f64::NAN;
     for shards in SHARD_COUNTS {
-        let t = median_ms(5, || {
-            black_box(run(black_box(&reports), shards));
-        });
+        let t = perf::median_ms(5, || run(black_box(&reports), shards));
         if shards == 1 {
             single = t;
         }
@@ -121,9 +63,7 @@ fn write_baseline() {
             single / t,
         ));
     }
-    let available = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let available = perf::available_parallelism();
     let m = &reference.metrics;
     let json = format!(
         "{{\n\"bench\": \"ingest\",\n\"gateways\": {FLEET_GATEWAYS},\n\"weeks\": 1,\n\"offered_reports\": {offered},\n\"ingested\": {},\n\"dropped_late\": {},\n\"dropped_duplicate\": {},\n\"dropped_future_jump\": {},\n\"reset_spanning_gaps\": {},\n\"windows_sealed\": {},\n\"fully_accounted\": {},\n\"available_parallelism\": {available},\n\"shard_runs\": [\n{}\n]\n}}\n",
@@ -136,20 +76,13 @@ fn write_baseline() {
         m.fully_accounted(),
         entries.join(",\n"),
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_ingest.json"
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("baseline written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    perf::write_record("results/BENCH_ingest.json", &json);
 }
 
 /// CI smoke: a small fleet at one shard, conservation law asserted, no
 /// baseline rewrite.
 fn smoke() {
-    let reports = fleet_reports(8);
+    let reports = perf::fleet_reports(8, SEED_SALT);
     let start = Instant::now();
     let summary = run(&reports, 1);
     let elapsed = start.elapsed();
@@ -164,13 +97,6 @@ fn smoke() {
     assert!(summary.metrics.windows_sealed > 0);
 }
 
-criterion_group!(benches, bench_ingest);
-
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    benches();
-    write_baseline();
+    perf::dispatch(smoke, write_baseline);
 }

@@ -31,10 +31,9 @@
 //! bench inputs **before** any timing. Workloads run at the paper's two
 //! natural window lengths: one day (1440 minute bins) and one week (10080).
 //!
-//! Besides the interactive Criterion output, a run refreshes the committed
-//! baseline at `results/BENCH_kernels.json` (median wall times and the
-//! per-kernel single-thread speedups, gated in CI by
-//! `scripts/perf_gate.py` against `results/PERF_BUDGET.json`).
+//! A run refreshes the committed baseline at `results/BENCH_kernels.json`
+//! (median wall times and the per-kernel single-thread speedups, gated in
+//! CI by `scripts/perf_gate.py` against `results/PERF_BUDGET.json`).
 //!
 //! `--smoke` asserts bit-identity on both windows without touching the
 //! committed baseline, then times the two wide-span lanes against the
@@ -43,10 +42,11 @@
 //! `target/perf/kernels_smoke.json`, which `scripts/perf_gate.py --only
 //! kernels_smoke` gates (both used by `scripts/ci.sh`).
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 use std::time::Instant;
+use wtts_bench::perf::{self, alternating_samples, calibrate_reps, median};
 use wtts_stats::correlation::KendallTies;
 use wtts_stats::kernels::{
     count_inversions, count_inversions_keyed, dot_lags_batch, filter_order_into, gather_values,
@@ -466,31 +466,6 @@ fn assert_bit_identical(n: usize) {
 // Timing
 // ---------------------------------------------------------------------------
 
-/// Wall time of `reps` back-to-back calls, in milliseconds.
-fn time_reps<F: FnMut()>(f: &mut F, reps: usize) -> f64 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    times[times.len() / 2]
-}
-
-/// Repetitions that stretch one timing sample of a closure to ~`target_ms`.
-fn calibrate_reps<F: FnMut()>(mut f: F, target_ms: f64) -> usize {
-    let start = Instant::now();
-    let mut reps = 0usize;
-    while start.elapsed().as_secs_f64() * 1e3 < target_ms {
-        f();
-        reps += 1;
-    }
-    reps.max(1)
-}
-
 struct KernelTimes {
     baseline_ms: f64,
     kernel_ms: f64,
@@ -500,24 +475,6 @@ impl KernelTimes {
     fn speedup(&self) -> f64 {
         self.baseline_ms / self.kernel_ms
     }
-}
-
-/// `samples` timings of each of two closures, taken alternately so a load
-/// swing on a shared machine hits both sides of a ratio alike: each sample
-/// is the wall time of `reps.0` (`reps.1`) back-to-back calls, in
-/// milliseconds. Callers reduce each side to a median or a minimum.
-fn alternating_samples<A: FnMut(), B: FnMut()>(
-    samples: usize,
-    reps: (usize, usize),
-    mut a: A,
-    mut b: B,
-) -> (Vec<f64>, Vec<f64>) {
-    let (mut ta, mut tb) = (Vec::with_capacity(samples), Vec::with_capacity(samples));
-    for _ in 0..samples {
-        ta.push(time_reps(&mut a, reps.0));
-        tb.push(time_reps(&mut b, reps.1));
-    }
-    (ta, tb)
 }
 
 /// Times one kernel/baseline closure pair over a shared calibrated
@@ -633,58 +590,8 @@ const KERNELS: [(&str, fn(usize) -> KernelTimes); 6] = [
 ];
 
 // ---------------------------------------------------------------------------
-// Criterion group (interactive), baseline writer, CI smoke
+// Baseline writer, CI smoke
 // ---------------------------------------------------------------------------
-
-fn bench_kernels(c: &mut Criterion) {
-    let n = WINDOWS[1];
-    assert_bit_identical(n);
-    let mut group = c.benchmark_group("kernels");
-    group.sample_size(20);
-
-    let (a, b) = (deviations(n, 11), deviations(n, 23));
-    let lags = lag_grid();
-    let mut out = Vec::new();
-    group.bench_with_input(BenchmarkId::new("pearson_moments", n), &n, |bch, _| {
-        bch.iter(|| {
-            dot_lags_batch(black_box(&a), black_box(&b), &lags, &mut out);
-        })
-    });
-
-    let vals = traffic_window(n, 37);
-    group.bench_with_input(BenchmarkId::new("rank_gather", n), &n, |bch, _| {
-        bch.iter(|| rank_series(black_box(&vals)))
-    });
-
-    let y = kendall_y(n, 53);
-    let mut buf = vec![0.0; n];
-    let mut tmp = Vec::new();
-    group.bench_with_input(BenchmarkId::new("kendall_inversions", n), &n, |bch, _| {
-        bch.iter(|| {
-            buf.copy_from_slice(&y);
-            count_inversions(black_box(&mut buf), &mut tmp)
-        })
-    });
-
-    let (ka, kb) = ks_samples(n, 71);
-    group.bench_with_input(BenchmarkId::new("ks_sup_scan", n), &n, |bch, _| {
-        bch.iter(|| ks_sup_scan(black_box(&ka), black_box(&kb)))
-    });
-
-    let wide = wide_window(n, 37);
-    group.bench_with_input(BenchmarkId::new("rank_gather_wide", n), &n, |bch, _| {
-        bch.iter(|| rank_series(black_box(&wide)))
-    });
-
-    let keys = rank_keys(&kendall_y_wide(n, 53));
-    let mut tree = Vec::new();
-    group.bench_with_input(
-        BenchmarkId::new("kendall_inversions_wide", n),
-        &n,
-        |bch, _| bch.iter(|| count_inversions_keyed(black_box(&keys), n + 1, &mut tree)),
-    );
-    group.finish();
-}
 
 /// Verifies bit-identity at both windows, then times every kernel against
 /// its frozen baseline and writes the JSON baseline the repo commits under
@@ -718,9 +625,7 @@ fn write_baseline() {
             window_entries.join(",\n")
         ));
     }
-    let available = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let available = perf::available_parallelism();
     let json = format!(
         "{{\n\"bench\": \"kernels\",\n\"baseline\": \"pre-kernel-layer loops frozen in benches/kernels.rs: per-lag serial CCF fold, Option-driven rank walk, width-1 merge with per-level copy-back, per-step f64 KS scan\",\n\"windows\": [{}, {}],\n\"lags\": {},\n\"available_parallelism\": {available},\n\"threads\": 1,\n\"kernels\": {{\n{}\n}},\n\"bit_identical\": true\n}}\n",
         WINDOWS[0],
@@ -728,14 +633,7 @@ fn write_baseline() {
         2 * LAG_SPAN + 1,
         kernel_entries.join(",\n")
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_kernels.json"
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("baseline written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    perf::write_record("results/BENCH_kernels.json", &json);
 }
 
 /// The comparison rank path `rank_series` falls back to: stable
@@ -938,21 +836,9 @@ fn smoke() {
     let json = format!(
         "{{\n\"bench\": \"kernels_smoke\",\n\"n\": {n},\n\"samples\": {SAMPLES},\n\"rank_comparison_min_ms\": {comparison_ms:.4},\n\"rank_series_min_ms\": {radix_ms:.4},\n\"rank_comparison_over_series\": {rank_ratio:.3},\n\"kendall_f64_pair_min_ms\": {f64_ms:.4},\n\"cor_tests_profiled_min_ms\": {keyed_ms:.4},\n\"kendall_f64_over_profiled\": {kendall_ratio:.3}\n}}\n"
     );
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/perf");
-    std::fs::create_dir_all(dir).expect("create scratch record dir");
-    let path = format!("{dir}/kernels_smoke.json");
-    std::fs::write(&path, json).expect("write kernels smoke record");
-    println!("scratch record written to {path}");
+    perf::write_record("target/perf/kernels_smoke.json", &json);
 }
 
-criterion_group!(benches, bench_kernels);
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    benches();
-    write_baseline();
+    perf::dispatch(smoke, write_baseline);
 }

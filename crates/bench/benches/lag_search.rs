@@ -22,8 +22,9 @@
 //! snapshot's `check_laws`), dense bit-identity against the naive
 //! reference and zero false dismissals at φ.
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
+use std::hint::black_box;
 use std::time::Instant;
+use wtts_bench::perf;
 use wtts_core::lagsearch::{lag_search, LagCell, LagSearchConfig, LagSearchResult};
 use wtts_core::obs::PipelineObs;
 use wtts_stats::ccf;
@@ -129,34 +130,6 @@ fn assert_grid_matches(result: &LagSearchResult, reference: &[Vec<Vec<f64>>], ph
     }
 }
 
-fn bench_lag_search(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lag_search");
-    group.sample_size(10);
-    for n in [8usize, 16] {
-        let series = fleet(n);
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| naive_grid(black_box(&series), &config(PHI)))
-        });
-        group.bench_with_input(BenchmarkId::new("engine", n), &n, |b, _| {
-            b.iter(|| lag_search(black_box(&series), &config(PHI), None))
-        });
-    }
-    group.finish();
-}
-
-/// Median wall time of `samples` runs, in milliseconds.
-fn median_ms<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    times[times.len() / 2]
-}
-
 struct SizeRow {
     n: usize,
     pairs: usize,
@@ -187,15 +160,10 @@ fn write_baseline() {
         assert!(pruned.stats.conserved(), "cell books must balance");
         assert_grid_matches(&pruned, &reference, PHI);
 
-        let naive_ms = median_ms(3, || {
-            black_box(naive_grid(black_box(&series), &config(PHI)));
-        });
-        let engine_ms = median_ms(3, || {
-            black_box(lag_search(black_box(&series), &config(PHI), None));
-        });
-        let engine_dense_ms = median_ms(3, || {
-            black_box(lag_search(black_box(&series), &config(0.0), None));
-        });
+        let naive_ms = perf::median_ms(3, || naive_grid(black_box(&series), &config(PHI)));
+        let engine_ms = perf::median_ms(3, || lag_search(black_box(&series), &config(PHI), None));
+        let engine_dense_ms =
+            perf::median_ms(3, || lag_search(black_box(&series), &config(0.0), None));
 
         let row = SizeRow {
             n,
@@ -238,22 +206,13 @@ fn write_baseline() {
             )
         })
         .collect();
-    let available = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let available = perf::available_parallelism();
     let json = format!(
         "{{\n\"bench\": \"lag_search\",\n\"baseline\": \"per (pair, scale): fresh aggregation of both series + dense ccf\",\n\"phi\": {PHI},\n\"weeks\": {WEEKS},\n\"scales_minutes\": [15, 30, 60],\n\"max_lag_bins\": 16,\n\"threads\": 1,\n\"available_parallelism\": {available},\n\"sizes\": [\n{}\n],\n\"speedup_single_thread\": {:.2},\n\"bit_identical\": true\n}}\n",
         entries.join(",\n"),
         speedup,
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_lagged.json"
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("baseline written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    perf::write_record("results/BENCH_lagged.json", &json);
 }
 
 /// CI smoke: a small grid with observability on — conservation (stats and
@@ -294,13 +253,6 @@ fn smoke() {
     );
 }
 
-criterion_group!(benches, bench_lag_search);
-
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    benches();
-    write_baseline();
+    perf::dispatch(smoke, write_baseline);
 }

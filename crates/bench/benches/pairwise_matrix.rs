@@ -2,12 +2,18 @@
 //! per-pair sweep, over fleet sizes bracketing the paper's 196 gateways
 //! (50 / 200 / 500 series of one weekly window at 3-hour binning).
 //!
-//! Besides the interactive Criterion output, a run refreshes the committed
-//! baseline at `results/BENCH_pairwise.json` (medians in milliseconds).
+//! At every fleet size the engine's matrix is asserted equal to the
+//! per-pair `cor()` sweep on every pair, as `f32` bits, **before** any
+//! timing. A run then refreshes the committed baseline at
+//! `results/BENCH_pairwise.json` (medians in milliseconds).
+//!
+//! `--smoke` asserts that bit-identity at 50 and 200 series, without
+//! timing or touching the committed baseline (used by `scripts/ci.sh`).
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
+use std::hint::black_box;
 use std::time::Instant;
-use wtts_core::engine::{cor_matrix, profile_series, CorMatrixConfig};
+use wtts_bench::perf;
+use wtts_core::engine::{cor_matrix, profile_series, CondensedMatrix, CorMatrixConfig};
 use wtts_core::similarity::cor;
 
 /// One weekly window at 3-hour binning.
@@ -50,9 +56,7 @@ fn per_pair_sweep(series: &[Vec<f64>]) -> Vec<f32> {
 }
 
 fn thread_counts() -> Vec<usize> {
-    let available = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let available = perf::available_parallelism();
     let mut counts = vec![1, 2, 4];
     if !counts.contains(&available) {
         counts.push(available);
@@ -60,45 +64,28 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-fn engine_config(threads: usize) -> CorMatrixConfig {
-    CorMatrixConfig {
+fn engine_matrix(series: &[Vec<f64>], threads: usize) -> CondensedMatrix {
+    let config = CorMatrixConfig {
         threads: Some(threads),
-    }
+    };
+    cor_matrix(&profile_series(series, None), &config, None)
 }
 
-fn bench_pairwise_matrix(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pairwise_matrix");
-    group.sample_size(10);
-    for n in FLEET_SIZES {
-        let series = series_set(n, SERIES_LEN);
-        group.bench_with_input(BenchmarkId::new("per_pair_cor", n), &n, |b, _| {
-            b.iter(|| per_pair_sweep(black_box(&series)))
-        });
-        for threads in thread_counts() {
-            let config = engine_config(threads);
-            group.bench_with_input(
-                BenchmarkId::new(format!("engine_t{threads}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| cor_matrix(&profile_series(black_box(&series), None), &config, None))
-                },
+/// The engine must reproduce the per-pair sweep on every pair, bit for bit.
+fn assert_bit_identical(series: &[Vec<f64>]) {
+    let n = series.len();
+    let engine = engine_matrix(series, 1);
+    let mut per_pair = per_pair_sweep(series).into_iter();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let want = per_pair.next().expect("one baseline entry per pair");
+            assert_eq!(
+                engine.get(i, j).to_bits(),
+                want.to_bits(),
+                "pair ({i},{j}) of {n} series differs from per-pair cor()"
             );
         }
     }
-    group.finish();
-}
-
-/// Median wall time of `samples` runs, in milliseconds.
-fn median_ms<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    times[times.len() / 2]
 }
 
 /// Re-times every configuration and writes the JSON baseline the repo
@@ -107,21 +94,13 @@ fn write_baseline() {
     let mut cases = Vec::new();
     for n in FLEET_SIZES {
         let series = series_set(n, SERIES_LEN);
+        assert_bit_identical(&series);
         let samples = if n >= 500 { 3 } else { 9 };
-        let per_pair = median_ms(samples, || {
-            black_box(per_pair_sweep(black_box(&series)));
-        });
+        let per_pair = perf::median_ms(samples, || per_pair_sweep(black_box(&series)));
         let mut engine_entries = Vec::new();
         let mut single = f64::NAN;
         for threads in thread_counts() {
-            let config = engine_config(threads);
-            let t = median_ms(samples, || {
-                black_box(cor_matrix(
-                    &profile_series(black_box(&series), None),
-                    &config,
-                    None,
-                ));
-            });
+            let t = perf::median_ms(samples, || engine_matrix(black_box(&series), threads));
             if threads == 1 {
                 single = t;
             }
@@ -134,26 +113,27 @@ fn write_baseline() {
             per_pair / single,
         ));
     }
-    let available = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let available = perf::available_parallelism();
     let json = format!(
         "{{\n\"bench\": \"pairwise_matrix\",\n\"series_len\": {SERIES_LEN},\n\"available_parallelism\": {available},\n\"cases\": [\n{}\n]\n}}\n",
         cases.join(",\n"),
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_pairwise.json"
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("baseline written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    perf::write_record("results/BENCH_pairwise.json", &json);
 }
 
-criterion_group!(benches, bench_pairwise_matrix);
+/// CI smoke: engine-vs-per-pair bit-identity at the two smaller fleet
+/// sizes, no timing, no baseline refresh.
+fn smoke() {
+    let start = Instant::now();
+    for n in [50, 200] {
+        assert_bit_identical(&series_set(n, SERIES_LEN));
+    }
+    println!(
+        "pairwise_matrix smoke: 50 and 200 series bit-identical to per-pair cor() on every pair in {:.2?}",
+        start.elapsed(),
+    );
+}
 
 fn main() {
-    benches();
-    write_baseline();
+    perf::dispatch(smoke, write_baseline);
 }

@@ -25,8 +25,9 @@
 //! (from both `PruneStats` and the obs snapshot's `check_laws`) and
 //! bit-identity against the dense matrix.
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
+use std::hint::black_box;
 use std::time::Instant;
+use wtts_bench::perf;
 use wtts_core::engine::{
     cor_matrix, cor_matrix_pruned, profile_series, sketch_series, CondensedMatrix, CorMatrixConfig,
     PruneConfig, PruneStats, SparseCorMatrix,
@@ -89,36 +90,6 @@ fn assert_bit_identical(sparse: &SparseCorMatrix, dense: &CondensedMatrix, n: us
     }
 }
 
-fn bench_pruned_pairwise(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pruned_pairwise");
-    group.sample_size(10);
-    for n in [500usize, 2_000] {
-        let windows = population(n);
-        let profiles = profile_series(&windows, None);
-        let sketches = sketch_series(&profiles, &prune_config().sketch, None);
-        group.bench_with_input(BenchmarkId::new("dense", n), &n, |b, _| {
-            b.iter(|| dense(black_box(&profiles)))
-        });
-        group.bench_with_input(BenchmarkId::new("pruned", n), &n, |b, _| {
-            b.iter(|| pruned(black_box(&profiles), black_box(&sketches)))
-        });
-    }
-    group.finish();
-}
-
-/// Median wall time of `samples` runs, in milliseconds.
-fn median_ms<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    times[times.len() / 2]
-}
-
 struct SizeRow {
     n: usize,
     pairs_total: u64,
@@ -147,17 +118,15 @@ fn write_baseline() {
         let sketches = sketch_series(&profiles, &prune_config().sketch, None);
 
         let (sparse, stats) = pruned(&profiles, &sketches);
-        let pruned_ms = median_ms(pruned_samples[k], || {
-            black_box(pruned(black_box(&profiles), black_box(&sketches)));
+        let pruned_ms = perf::median_ms(pruned_samples[k], || {
+            pruned(black_box(&profiles), black_box(&sketches))
         });
 
         let (dense_ms, dense_extrapolated, bit_identical) = if dense_samples[k] > 0 {
             let reference = dense(&profiles);
             assert_bit_identical(&sparse, &reference, n);
             drop(reference);
-            let t = median_ms(dense_samples[k], || {
-                black_box(dense(black_box(&profiles)));
-            });
+            let t = perf::median_ms(dense_samples[k], || dense(black_box(&profiles)));
             (t, false, Some(true))
         } else {
             let prev = rows.last().expect("extrapolation needs a measured size");
@@ -211,22 +180,13 @@ fn write_baseline() {
             )
         })
         .collect();
-    let available = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let available = perf::available_parallelism();
     let json = format!(
         "{{\n\"bench\": \"pruned_pairwise\",\n\"baseline\": \"dense cor_matrix: exact Definition-1 evaluation of all n(n-1)/2 pairs\",\n\"phi\": {PHI},\n\"series_len\": 56,\n\"families\": 32,\n\"threads\": 1,\n\"available_parallelism\": {available},\n\"sizes\": [\n{}\n],\n\"speedup_single_thread\": {:.2},\n\"bit_identical\": true\n}}\n",
         entries.join(",\n"),
         speedup_10k,
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_pruning.json"
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("baseline written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    perf::write_record("results/BENCH_pruning.json", &json);
 }
 
 /// CI smoke: 2k gateways at φ = 0.6 with observability on — prune rate,
@@ -267,13 +227,6 @@ fn smoke() {
     );
 }
 
-criterion_group!(benches, bench_pruned_pairwise);
-
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    benches();
-    write_baseline();
+    perf::dispatch(smoke, write_baseline);
 }

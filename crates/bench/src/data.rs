@@ -2,42 +2,22 @@
 //! active-traffic (background-removed) series.
 
 use wtts_core::background::{estimate_tau, remove_background};
+use wtts_core::engine::run_grid;
 use wtts_gwsim::{Fleet, SimGateway};
 use wtts_timeseries::{TimeSeries, MINUTES_PER_DAY, MINUTES_PER_WEEK};
 
-/// Maps every gateway of the fleet through `f` in parallel (one OS thread
-/// per core, chunked round-robin), preserving gateway-id order in the
-/// output. Rendering a gateway costs ~100 ms, so fleet-wide experiments
-/// gain nearly a core-count speedup.
+/// Maps every gateway of the fleet through `f` in parallel, preserving
+/// gateway-id order in the output: one single-column [`run_grid`] over the
+/// gateway ids. Rendering a gateway costs ~100 ms, so fleet-wide
+/// experiments gain nearly a core-count speedup.
 pub fn fleet_map<R, F>(fleet: &Fleet, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(SimGateway) -> R + Sync,
 {
-    let n = fleet.len();
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(n.max(1));
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots_ptr = std::sync::Mutex::new(&mut slots);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let id = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if id >= n {
-                    break;
-                }
-                let result = f(fleet.gateway(id));
-                let mut guard = slots_ptr.lock().expect("no poisoned slot lock");
-                guard[id] = Some(result);
-            });
-        }
-    });
-    slots
+    run_grid(fleet.len(), 1, None, |id, _, _| f(fleet.gateway(id)))
         .into_iter()
-        .map(|r| r.expect("every slot filled"))
+        .flatten()
         .collect()
 }
 

@@ -5,8 +5,8 @@ use crate::data::{active_total, first_weeks, observed_every_week, raw_total};
 use crate::report::{pct, Table};
 use std::collections::HashMap;
 use std::path::Path;
-use wtts_core::aggregation::weekly_stationarity;
 use wtts_core::background::{estimate_tau, TauGroup};
+use wtts_core::sweep::weekly_cell;
 use wtts_devid::DeviceType;
 use wtts_gwsim::Fleet;
 use wtts_stats::histogram;
@@ -108,7 +108,7 @@ pub fn sec6_background_gain(fleet: &Fleet, out: Option<&Path>) {
             (raw, &mut raw_counts),
             (first_weeks(&active_total(&gw), weeks), &mut active_counts),
         ] {
-            if let Some(c) = weekly_stationarity(&series, weeks, g, 0) {
+            if let Some(c) = weekly_cell(&series, weeks, g, 0, true, None).stationarity {
                 if c.correlations_pass {
                     counts.0 += 1;
                 }

@@ -12,14 +12,16 @@
 //!   are compared (Mondays with Mondays, …); candidates range 1–180
 //!   minutes. The winner is 3 hours.
 //!
-//! The functions here are single-`(granularity, offset)` conveniences;
-//! evaluating a whole candidate grid should go through [`crate::sweep`],
-//! which amortizes the per-series work (prefix-sum pyramid, window
-//! extraction, profiles) across all candidates and parallelizes the grid.
+//! This module holds the score type and Definition 3's argmax. The scores
+//! come from [`crate::sweep`]: [`weekly_cell`](crate::sweep::weekly_cell)
+//! and [`daily_cell`](crate::sweep::daily_cell) evaluate one
+//! `(granularity, offset)` candidate, and
+//! [`weekly_sweep`](crate::sweep::weekly_sweep) /
+//! [`daily_sweep`](crate::sweep::daily_sweep) a whole candidate grid,
+//! amortizing the per-series work (prefix-sum pyramid, window extraction,
+//! profiles) across candidates and parallelizing the grid.
 
-use crate::stationarity::StationarityCheck;
-use crate::sweep::{daily_cell, weekly_cell};
-use wtts_timeseries::{Granularity, TimeSeries};
+use wtts_timeseries::Granularity;
 
 /// Mean window correlation of one gateway at one candidate binning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,68 +34,6 @@ pub struct GranularityScore {
     pub mean_correlation: f64,
     /// Number of window pairs behind the mean.
     pub n_pairs: usize,
-}
-
-/// Mean pairwise correlation among the weekly windows of `series` at the
-/// given binning; `None` when fewer than two weeks carry observations.
-///
-/// A thin wrapper over one [`crate::sweep::weekly_cell`] — full candidate
-/// grids should go through [`crate::sweep::weekly_sweep`], which shares the
-/// per-series prefix-sum pyramid across all candidates.
-pub fn weekly_window_correlation(
-    series: &TimeSeries,
-    weeks: u32,
-    granularity: Granularity,
-    offset_minutes: u32,
-) -> Option<GranularityScore> {
-    weekly_cell(series, weeks, granularity, offset_minutes, false, None).score
-}
-
-/// Mean same-weekday correlation among the daily windows of `series`:
-/// Mondays against Mondays, Tuesdays against Tuesdays, and so on.
-///
-/// `None` when no weekday has two observed instances. For candidate grids,
-/// prefer [`crate::sweep::daily_sweep`].
-pub fn daily_window_correlation(
-    series: &TimeSeries,
-    weeks: u32,
-    granularity: Granularity,
-    offset_minutes: u32,
-) -> Option<GranularityScore> {
-    daily_cell(series, weeks, granularity, offset_minutes, false, None).score
-}
-
-/// Strong stationarity of the weekly windows at a binning (Definition 2
-/// applied to week-sized windows).
-pub fn weekly_stationarity(
-    series: &TimeSeries,
-    weeks: u32,
-    granularity: Granularity,
-    offset_minutes: u32,
-) -> Option<StationarityCheck> {
-    weekly_cell(series, weeks, granularity, offset_minutes, true, None).stationarity
-}
-
-/// Per-weekday strong stationarity of daily windows: entry `d` is the check
-/// over all instances of weekday `d` (Monday = 0), `None` where fewer than
-/// two instances carry observations.
-pub fn daily_stationarity_by_weekday(
-    series: &TimeSeries,
-    weeks: u32,
-    granularity: Granularity,
-    offset_minutes: u32,
-) -> [Option<StationarityCheck>; 7] {
-    daily_cell(series, weeks, granularity, offset_minutes, true, None).stationarity
-}
-
-/// Number of strongly stationary weekdays of a gateway at a binning.
-pub fn stationary_weekday_count(
-    series: &TimeSeries,
-    weeks: u32,
-    granularity: Granularity,
-    offset_minutes: u32,
-) -> usize {
-    daily_cell(series, weeks, granularity, offset_minutes, true, None).stationary_weekday_count()
 }
 
 /// The score with the highest mean correlation (Definition 3's argmax).
@@ -111,7 +51,8 @@ pub fn best_score(scores: &[GranularityScore]) -> Option<&GranularityScore> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wtts_timeseries::{MINUTES_PER_DAY, MINUTES_PER_WEEK};
+    use crate::sweep::{daily_cell, weekly_cell};
+    use wtts_timeseries::{TimeSeries, MINUTES_PER_DAY, MINUTES_PER_WEEK};
 
     /// Four weeks of per-minute traffic with a strict evening habit plus
     /// per-minute deterministic wiggle.
@@ -157,8 +98,12 @@ mod tests {
     #[test]
     fn aggregation_raises_weekly_correlation_for_regular_series() {
         let s = regular_series(4);
-        let fine = weekly_window_correlation(&s, 4, Granularity::minutes(1), 0).unwrap();
-        let coarse = weekly_window_correlation(&s, 4, Granularity::hours(8), 0).unwrap();
+        let fine = weekly_cell(&s, 4, Granularity::minutes(1), 0, false, None)
+            .score
+            .unwrap();
+        let coarse = weekly_cell(&s, 4, Granularity::hours(8), 0, false, None)
+            .score
+            .unwrap();
         assert!(
             coarse.mean_correlation > fine.mean_correlation,
             "coarse {} must beat fine {}",
@@ -174,8 +119,8 @@ mod tests {
         let irregular = irregular_series(4);
         let regular = regular_series(4);
         for g in [Granularity::hours(3), Granularity::hours(8)] {
-            let irr = weekly_window_correlation(&irregular, 4, g, 0).unwrap();
-            let reg = weekly_window_correlation(&regular, 4, g, 0).unwrap();
+            let irr = weekly_cell(&irregular, 4, g, 0, false, None).score.unwrap();
+            let reg = weekly_cell(&regular, 4, g, 0, false, None).score.unwrap();
             assert!(
                 irr.mean_correlation < reg.mean_correlation - 0.2,
                 "at {g}: irregular {} vs regular {}",
@@ -189,7 +134,9 @@ mod tests {
     #[test]
     fn daily_correlation_regular_series() {
         let s = regular_series(3);
-        let score = daily_window_correlation(&s, 3, Granularity::hours(3), 0).unwrap();
+        let score = daily_cell(&s, 3, Granularity::hours(3), 0, false, None)
+            .score
+            .unwrap();
         assert!(score.mean_correlation > 0.9, "{score:?}");
         // 3 instances of each weekday -> 3 pairs x 7 days = 21.
         assert_eq!(score.n_pairs, 21);
@@ -198,21 +145,26 @@ mod tests {
     #[test]
     fn weekly_stationarity_verdicts() {
         let regular = regular_series(4);
-        let check = weekly_stationarity(&regular, 4, Granularity::hours(8), 0).unwrap();
+        let check = weekly_cell(&regular, 4, Granularity::hours(8), 0, true, None)
+            .stationarity
+            .unwrap();
         assert!(check.is_stationary(), "{check:?}");
 
         let irregular = irregular_series(4);
-        let check = weekly_stationarity(&irregular, 4, Granularity::hours(8), 0).unwrap();
+        let check = weekly_cell(&irregular, 4, Granularity::hours(8), 0, true, None)
+            .stationarity
+            .unwrap();
         assert!(!check.is_stationary());
     }
 
     #[test]
     fn stationary_weekday_count_regular() {
         let s = regular_series(4);
-        let n = stationary_weekday_count(&s, 4, Granularity::hours(3), 0);
+        let n = daily_cell(&s, 4, Granularity::hours(3), 0, true, None).stationary_weekday_count();
         assert_eq!(n, 7, "every weekday repeats in the regular series");
         let irr = irregular_series(4);
-        let n_irr = stationary_weekday_count(&irr, 4, Granularity::hours(3), 0);
+        let n_irr =
+            daily_cell(&irr, 4, Granularity::hours(3), 0, true, None).stationary_weekday_count();
         assert!(
             n_irr <= 2,
             "irregular series has few stationary days: {n_irr}"
@@ -222,8 +174,12 @@ mod tests {
     #[test]
     fn offsets_change_the_windows() {
         let s = regular_series(4);
-        let midnight = weekly_window_correlation(&s, 4, Granularity::hours(8), 0).unwrap();
-        let two_am = weekly_window_correlation(&s, 4, Granularity::hours(8), 120).unwrap();
+        let midnight = weekly_cell(&s, 4, Granularity::hours(8), 0, false, None)
+            .score
+            .unwrap();
+        let two_am = weekly_cell(&s, 4, Granularity::hours(8), 120, false, None)
+            .score
+            .unwrap();
         // Both are valid scores over the same data; they need not be equal,
         // but both must be high for the regular series.
         assert!(midnight.mean_correlation > 0.8);
@@ -234,7 +190,9 @@ mod tests {
     #[test]
     fn too_few_weeks_is_none() {
         let s = regular_series(1);
-        assert!(weekly_window_correlation(&s, 1, Granularity::hours(8), 0).is_none());
+        assert!(weekly_cell(&s, 1, Granularity::hours(8), 0, false, None)
+            .score
+            .is_none());
     }
 
     #[test]
@@ -242,7 +200,11 @@ mod tests {
         let s = regular_series(4);
         let scores: Vec<GranularityScore> = [1u32, 3, 8]
             .into_iter()
-            .map(|h| weekly_window_correlation(&s, 4, Granularity::hours(h), 0).unwrap())
+            .map(|h| {
+                weekly_cell(&s, 4, Granularity::hours(h), 0, false, None)
+                    .score
+                    .unwrap()
+            })
             .collect();
         let best = best_score(&scores).unwrap();
         let max = scores

@@ -112,13 +112,14 @@ pub fn cor_profiled(a: &CorProfile, b: &CorProfile, scratch: &mut CorScratch) ->
 /// Runs `compute` over every `(row, col)` cell of a grid, fanning the flat
 /// task list across work-stealing workers — the one parallel loop behind
 /// every analysis grid: matrix rows here, the granularity sweep
-/// ([`crate::sweep`]) and the lag search ([`crate::lagsearch`]).
+/// ([`crate::sweep`]), the lag search ([`crate::lagsearch`]) and the
+/// experiments' per-gateway fleet pass.
 ///
 /// `threads: None` uses the machine's available parallelism. The calling
 /// thread is one of the workers, so `threads = 1` spawns nothing. Each
 /// worker owns one [`CorScratch`]; each cell writes its own slot, so
 /// results are deterministic in the thread count.
-pub(crate) fn run_grid<C, F>(
+pub fn run_grid<C, F>(
     n_rows: usize,
     n_cols: usize,
     threads: Option<usize>,

@@ -81,9 +81,7 @@ pub mod stationarity;
 pub mod streaming;
 pub mod sweep;
 
-pub use aggregation::{
-    best_score, daily_window_correlation, weekly_window_correlation, GranularityScore,
-};
+pub use aggregation::{best_score, GranularityScore};
 pub use anomaly::{AnomalyConfig, AnomalyDetector, Verdict};
 pub use background::{estimate_tau, remove_background, BackgroundProfile, TauGroup, TAU_CAP};
 pub use clustering::{cluster_correlated, correlation_components, Dendrogram};
@@ -120,8 +118,8 @@ pub use profile::GatewayProfile;
 pub use similarity::{cor, cor_at_least, cor_distance, correlation_similarity, CorSimilarity};
 pub use stationarity::{strong_stationarity, StationarityCheck, STATIONARITY_COR};
 pub use streaming::{
-    best_match, CompletedWindow, LateSample, MatchOutcome, MotifMatcher, MotifTemplate,
-    OnlinePearson, WindowAccumulator,
+    best_match, CompletedWindow, LateSample, MatchOutcome, MotifTemplate, OnlinePearson,
+    WindowAccumulator,
 };
 pub use sweep::{
     daily_cell, daily_sweep, weekly_cell, weekly_sweep, DailyCell, DailySweep, SweepConfig,

@@ -208,7 +208,7 @@ impl Motif {
     }
 
     /// Exports the motif as a streaming template: its average pattern under
-    /// the given name, ready for [`crate::streaming::MotifMatcher`] or the
+    /// the given name, ready for [`crate::streaming::best_match`] or the
     /// fleet-ingest pipeline. This is the batch → streaming hand-off: motifs
     /// discovered offline become the library live windows are matched
     /// against.

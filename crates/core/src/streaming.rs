@@ -10,9 +10,9 @@
 //! * [`WindowAccumulator`] — folds a per-minute measurement stream into
 //!   aggregated, calendar-aligned daily or weekly windows, emitting each
 //!   window the moment it completes.
-//! * [`MotifMatcher`] — matches each completed window against a library of
-//!   motif templates with the Definition 1 similarity, maintaining online
-//!   support counts and flagging novel behavior.
+//! * [`best_match`] — matches each completed window against a library of
+//!   motif templates with the Definition 1 similarity, flagging novel
+//!   behavior; the fleet-ingest shards keep the online support counts.
 
 use crate::similarity::cor;
 use wtts_timeseries::{Minute, Weekday, WindowKind, MINUTES_PER_DAY, MINUTES_PER_WEEK};
@@ -327,9 +327,9 @@ pub enum MatchOutcome {
 /// Matches one window against a template library with the Definition 1
 /// similarity, returning the best template at or above `threshold`.
 ///
-/// This is the stateless core of [`MotifMatcher::observe`]; the fleet-ingest
-/// worker shards call it directly so many gateways can share one template
-/// slice while keeping their own support counts.
+/// Stateless: the fleet-ingest worker shards call it directly, so many
+/// gateways share one template slice while each keeps its own support
+/// counts.
 pub fn best_match(templates: &[MotifTemplate], threshold: f64, window: &[f64]) -> MatchOutcome {
     if window.iter().filter(|v| v.is_finite()).count() < 3 {
         return MatchOutcome::Insufficient;
@@ -347,57 +347,6 @@ pub fn best_match(templates: &[MotifTemplate], threshold: f64, window: &[f64]) -
     match best {
         Some((index, similarity)) => MatchOutcome::Matched { index, similarity },
         None => MatchOutcome::Novel,
-    }
-}
-
-/// Streams windows against a motif-template library, keeping online support
-/// counts — the "assign incoming behavior to known patterns" half of a
-/// streaming deployment.
-#[derive(Debug, Clone)]
-pub struct MotifMatcher {
-    templates: Vec<MotifTemplate>,
-    threshold: f64,
-    support: Vec<usize>,
-    novel: usize,
-}
-
-impl MotifMatcher {
-    /// Creates a matcher over `templates` with a similarity `threshold`
-    /// (the paper's motif φ = 0.8 is the natural choice).
-    pub fn new(templates: Vec<MotifTemplate>, threshold: f64) -> MotifMatcher {
-        let n = templates.len();
-        MotifMatcher {
-            templates,
-            threshold,
-            support: vec![0; n],
-            novel: 0,
-        }
-    }
-
-    /// Matches one window and updates the counts.
-    pub fn observe(&mut self, window: &[f64]) -> MatchOutcome {
-        let outcome = best_match(&self.templates, self.threshold, window);
-        match outcome {
-            MatchOutcome::Matched { index, .. } => self.support[index] += 1,
-            MatchOutcome::Novel => self.novel += 1,
-            MatchOutcome::Insufficient => {}
-        }
-        outcome
-    }
-
-    /// Current support counts per template.
-    pub fn support(&self) -> &[usize] {
-        &self.support
-    }
-
-    /// Number of windows that matched nothing.
-    pub fn novel_count(&self) -> usize {
-        self.novel
-    }
-
-    /// The templates.
-    pub fn templates(&self) -> &[MotifTemplate] {
-        &self.templates
     }
 }
 
@@ -581,10 +530,9 @@ mod tests {
             pattern: vec![1.0, 2.0, 30.0, 40.0],
         }];
         let w = [2.0, 3.0, 31.0, 41.0];
-        let direct = best_match(&t, 0.8, &w);
-        let mut matcher = MotifMatcher::new(t, 0.8);
-        assert_eq!(matcher.observe(&w), direct);
-        assert!(matches!(direct, MatchOutcome::Matched { index: 0, .. }));
+        let first = best_match(&t, 0.8, &w);
+        assert_eq!(best_match(&t, 0.8, &w), first, "no state between calls");
+        assert!(matches!(first, MatchOutcome::Matched { index: 0, .. }));
     }
 
     #[test]
@@ -597,10 +545,10 @@ mod tests {
             name: "morning".into(),
             pattern: vec![1.0, 1.0, 800.0, 850.0, 1.0, 1.0, 1.0, 1.0],
         };
-        let mut matcher = MotifMatcher::new(vec![evening, morning], 0.8);
+        let templates = [evening, morning];
 
         let w_evening = vec![2.0, 3.0, 1.0, 2.0, 4.0, 2.0, 1000.0, 1100.0];
-        match matcher.observe(&w_evening) {
+        match best_match(&templates, 0.8, &w_evening) {
             MatchOutcome::Matched { index, similarity } => {
                 assert_eq!(index, 0);
                 assert!(similarity > 0.8);
@@ -609,13 +557,13 @@ mod tests {
         }
 
         let w_flat = vec![5.0; 8];
-        assert_eq!(matcher.observe(&w_flat), MatchOutcome::Novel);
+        assert_eq!(best_match(&templates, 0.8, &w_flat), MatchOutcome::Novel);
 
         let w_sparse = vec![f64::NAN; 8];
-        assert_eq!(matcher.observe(&w_sparse), MatchOutcome::Insufficient);
-
-        assert_eq!(matcher.support(), &[1, 0]);
-        assert_eq!(matcher.novel_count(), 1);
+        assert_eq!(
+            best_match(&templates, 0.8, &w_sparse),
+            MatchOutcome::Insufficient
+        );
     }
 
     #[test]
@@ -628,9 +576,8 @@ mod tests {
             name: "b".into(),
             pattern: vec![0.0, 5.0, 10.0, 10.0],
         };
-        let mut matcher = MotifMatcher::new(vec![a, b], 0.5);
         // Exactly b's shape.
-        match matcher.observe(&[1.0, 6.0, 11.0, 11.0]) {
+        match best_match(&[a, b], 0.5, &[1.0, 6.0, 11.0, 11.0]) {
             MatchOutcome::Matched { index, .. } => assert_eq!(index, 1),
             other => panic!("unexpected {other:?}"),
         }

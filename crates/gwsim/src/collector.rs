@@ -9,7 +9,8 @@
 
 use crate::gateway::{SimDevice, SimGateway};
 use crate::rng::chance;
-use rand::Rng;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use wtts_timeseries::{CounterTrace, Minute, TimeSeries};
 
 /// Loss/duplication/reordering characteristics of the reporting channel.
@@ -175,6 +176,16 @@ pub fn gateway_reports(
         }
     }
     out
+}
+
+/// [`gateway_reports`] through a channel seeded with `seed`, for callers
+/// that keep no generator of their own.
+pub fn gateway_reports_seeded(
+    gateway: &SimGateway,
+    channel: ChannelConfig,
+    seed: u64,
+) -> Vec<TaggedReport> {
+    gateway_reports(gateway, channel, &mut SmallRng::seed_from_u64(seed))
 }
 
 /// Ground-truth delivery statistics of a simulated report stream, computed

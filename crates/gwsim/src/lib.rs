@@ -42,8 +42,8 @@ pub mod wifi;
 pub use apps::AppProfile;
 pub use archetype::HouseholdArchetype;
 pub use collector::{
-    delivery_stats, device_reports, gateway_reports, reassemble, ChannelConfig, DeliveryStats,
-    Report, TaggedReport,
+    delivery_stats, device_reports, gateway_reports, gateway_reports_seeded, reassemble,
+    ChannelConfig, DeliveryStats, Report, TaggedReport,
 };
 pub use config::FleetConfig;
 pub use crash::kill_points;

@@ -44,8 +44,6 @@
 //! faults and, past the retry budget, degrades to a typed, counted
 //! durability gap instead of crashing.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 use wtts::core::ingest::{IngestConfig, IngestPipeline, IngestReport};
 use wtts::core::motif::{discover_motifs, MotifConfig};
@@ -54,7 +52,8 @@ use wtts::core::{
     KillMode, KillPoint,
 };
 use wtts::gwsim::{
-    fault_schedule, gateway_reports, ChannelConfig, FaultOp, Fleet, FleetConfig, TaggedReport,
+    fault_schedule, gateway_reports_seeded, ChannelConfig, FaultOp, Fleet, FleetConfig,
+    TaggedReport,
 };
 use wtts::timeseries::{aggregate, daily_windows, Granularity};
 
@@ -165,12 +164,11 @@ fn main() {
         duplication: 0.01,
         reorder: 0.01,
     };
-    let mut reports = Vec::new();
-    for id in 0..fleet_size {
-        let gw = fleet.gateway(id);
-        let mut rng = SmallRng::seed_from_u64(100 + id as u64);
-        reports.extend(gateway_reports(&gw, channel, &mut rng).iter().map(envelope));
-    }
+    let reports: Vec<IngestReport> = fleet
+        .iter()
+        .flat_map(|gw| gateway_reports_seeded(&gw, channel, 100 + gw.id as u64))
+        .map(|t| envelope(&t))
+        .collect();
     println!(
         "replaying {} reports from {fleet_size} gateways through a lossy channel\n",
         reports.len()

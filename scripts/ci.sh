@@ -66,6 +66,12 @@ echo "== dominance bench (smoke) =="
 cargo bench -p wtts-bench --bench dominance -- --smoke
 python3 scripts/perf_gate.py --only dominance
 
+echo "== pairwise_matrix bench (smoke) =="
+# Asserts cor_matrix bit-identical to per-pair cor() on every pair at 50
+# and 200 series.
+cargo bench -p wtts-bench --bench pairwise_matrix -- --smoke
+python3 scripts/perf_gate.py --only pairwise_matrix
+
 echo "== perf budget (all recorded baselines) =="
 python3 scripts/perf_gate.py
 
