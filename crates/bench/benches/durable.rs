@@ -2,21 +2,23 @@
 //! 40-gateway week pushed through the chaos channel and ingested via
 //! [`DurablePipeline`] at fsync on/off across three segment-rotation sizes.
 //!
-//! A run refreshes the committed baseline at `results/BENCH_durable.json`:
-//! median wall time and
-//! reports/second per cell, plus the per-batch append latency distribution
-//! (p50/p99/p99.9/max upper bounds from the lock-free `wal_append` stage
-//! histogram). The shard worker logs each popped batch (1024 reports by
-//! default) under one span before consuming it, so one sample covers a
-//! whole batch of buffered appends; the group-commit flush (and, with
-//! fsync, the fsync) lands once per ~1366 records, so inside about three
-//! batches in four, and the fsync tax shows in the upper quantiles.
+//! The stream arrives minute-interleaved across gateways, as a collector
+//! delivers it ([`perf::fleet_reports`]). A run refreshes the committed
+//! baseline at `results/BENCH_durable.json`: median wall time of pipeline
+//! creation plus the run (the WAL directory is made and removed outside
+//! the timed span) and reports/second per cell, plus the per-batch append
+//! latency distribution (p50/p99/p99.9/max upper bounds from the lock-free
+//! `wal_append` stage histogram). The shard worker logs each popped batch
+//! (1024 reports by default) as one frame under one span before consuming
+//! it, so one sample covers a whole batch; at ~11 B per record the
+//! group-commit flush (and, with fsync, the fsync) lands in about one batch
+//! in six, and the fsync tax shows in the upper quantiles.
 //!
 //! `--smoke` runs a fast single-shard pass over a small fleet, asserts the
 //! durable conservation law, a clean (no-gap) verdict and results identical
 //! to the plain pipeline's, and leaves the committed baseline alone. It
 //! also times plain [`IngestPipeline::run`] and the durable run on the same
-//! stream in the same process (fastest of five alternating runs each) and
+//! stream in the same process (fastest of nine alternating runs each) and
 //! writes their ratio, `plain_over_durable`, to the scratch record
 //! `target/perf/durable_smoke.json`, which `scripts/perf_gate.py --only
 //! durable_smoke` gates against the floor in `results/PERF_BUDGET.json`.
@@ -54,18 +56,22 @@ fn config() -> IngestConfig {
     }
 }
 
-/// One complete durable run in a fresh directory; returns the summary and
-/// the WAL footprint left on disk, then removes the directory.
-fn run(reports: &[IngestReport], fsync: bool, segment_bytes: u64) -> (IngestSummary, u64) {
+/// One complete durable run in a fresh directory: the summary, the wall
+/// time in milliseconds of pipeline creation and the run (as `benchmark/`
+/// times durable ingest: making and removing the directory stay outside),
+/// and the WAL footprint left on disk. Removes the directory.
+fn run(reports: &[IngestReport], fsync: bool, segment_bytes: u64) -> (IngestSummary, f64, u64) {
     let dir = fresh_dir();
     let mut durable = DurableConfig::new(&dir);
     durable.fsync = fsync;
     durable.segment_bytes = segment_bytes;
+    let start = Instant::now();
     let mut pipeline =
         DurablePipeline::create(config(), Vec::new(), durable).expect("create durable pipeline");
     let outcome = pipeline
         .run(reports.iter().copied(), None)
         .expect("durable ingest run");
+    let ms = start.elapsed().as_secs_f64() * 1e3;
     let summary = match outcome {
         DurableRun::Completed {
             summary,
@@ -91,7 +97,7 @@ fn run(reports: &[IngestReport], fsync: bool, segment_bytes: u64) -> (IngestSumm
     );
     let disk = wal_disk_usage(&dir).expect("measure WAL disk usage");
     std::fs::remove_dir_all(&dir).expect("remove bench WAL dir");
-    (summary, disk)
+    (summary, ms, disk)
 }
 
 /// The same stream through the plain in-memory pipeline.
@@ -109,10 +115,14 @@ fn write_baseline() {
         for segment_bytes in SEGMENT_BYTES {
             // One instrumented run for the latency distribution and WAL
             // footprint, then timed repeats for the wall-clock median.
-            let (summary, disk) = run(&reports, fsync, segment_bytes);
+            let (summary, _, disk) = run(&reports, fsync, segment_bytes);
             let m = &summary.metrics;
             let wal = &m.per_shard[0].wal_append.latency_ns;
-            let t = perf::median_ms(3, || run(black_box(&reports), fsync, segment_bytes));
+            let t = perf::median(
+                (0..3)
+                    .map(|_| run(black_box(&reports), fsync, segment_bytes).1)
+                    .collect(),
+            );
             let rps = offered as f64 / (t / 1e3);
             // One sample per logged batch; about three batches in four
             // carry a group-commit flush, so p50 already includes it and
@@ -144,10 +154,10 @@ fn write_baseline() {
 /// reads. No baseline rewrite.
 fn smoke() {
     const SMOKE_GATEWAYS: usize = 8;
-    const SAMPLES: usize = 5;
+    const SAMPLES: usize = 9;
     let reports = perf::fleet_reports(SMOKE_GATEWAYS, SEED_SALT);
     let start = Instant::now();
-    let (summary, disk) = run(&reports, false, 1024 * 1024);
+    let (summary, _, disk) = run(&reports, false, 1024 * 1024);
     let elapsed = start.elapsed();
     let m = &summary.metrics;
     println!(
@@ -170,17 +180,36 @@ fn smoke() {
     let (mut plain_ms, mut durable_ms) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..SAMPLES {
         plain_ms = plain_ms.min(perf::time_ms(|| run_plain(black_box(&reports))));
-        durable_ms = durable_ms.min(perf::time_ms(|| {
-            run(black_box(&reports), false, 1024 * 1024)
-        }));
+        durable_ms = durable_ms.min(run(black_box(&reports), false, 1024 * 1024).1);
     }
     let ratio = plain_ms / durable_ms;
     println!(
         "durability tax: plain {plain_ms:.2} ms vs durable {durable_ms:.2} ms \
          (min of {SAMPLES}), plain_over_durable {ratio:.3}"
     );
+
+    // The WAL's bytes per record, a function of the format alone: with no
+    // snapshot nothing is compacted, so the segments keep every frame.
+    let dir = fresh_dir();
+    let durable = DurableConfig {
+        snapshot_every_reports: u64::MAX,
+        ..DurableConfig::new(&dir)
+    };
+    let mut pipeline =
+        DurablePipeline::create(config(), Vec::new(), durable).expect("create durable pipeline");
+    pipeline
+        .run(reports.iter().copied(), None)
+        .expect("durable ingest run");
+    drop(pipeline);
+    let written = wal_disk_usage(&dir).expect("measure WAL disk usage");
+    std::fs::remove_dir_all(&dir).expect("remove bench WAL dir");
+    let per_kib = m.offered as f64 * 1024.0 / written as f64;
+    println!(
+        "WAL size: {written} bytes for {} records, {per_kib:.1} records per KiB",
+        m.offered
+    );
     let json = format!(
-        "{{\n\"bench\": \"durable_smoke\",\n\"gateways\": {SMOKE_GATEWAYS},\n\"weeks\": 1,\n\"offered_reports\": {},\n\"samples\": {SAMPLES},\n\"plain_min_ms\": {plain_ms:.3},\n\"durable_min_ms\": {durable_ms:.3},\n\"plain_over_durable\": {ratio:.3}\n}}\n",
+        "{{\n\"bench\": \"durable_smoke\",\n\"gateways\": {SMOKE_GATEWAYS},\n\"weeks\": 1,\n\"offered_reports\": {},\n\"samples\": {SAMPLES},\n\"plain_min_ms\": {plain_ms:.3},\n\"durable_min_ms\": {durable_ms:.3},\n\"plain_over_durable\": {ratio:.3},\n\"wal_bytes\": {written},\n\"records_per_wal_kib\": {per_kib:.1}\n}}\n",
         m.offered,
     );
     perf::write_record("target/perf/durable_smoke.json", &json);

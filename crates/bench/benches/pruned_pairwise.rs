@@ -90,6 +90,20 @@ fn assert_bit_identical(sparse: &SparseCorMatrix, dense: &CondensedMatrix, n: us
     }
 }
 
+/// One result of `f`, kept for the stats and the bit-identity check, with
+/// the median wall time of `samples` timed calls in milliseconds. With one
+/// sample the call that produced the kept result is the timed one, so a
+/// large size is built once; with more, that call is an untimed warm-up.
+fn kept_and_median_ms<R>(samples: usize, mut f: impl FnMut() -> R) -> (R, f64) {
+    let start = Instant::now();
+    let kept = f();
+    let first_ms = start.elapsed().as_secs_f64() * 1e3;
+    if samples <= 1 {
+        return (kept, first_ms);
+    }
+    (kept, perf::median_ms(samples, f))
+}
+
 struct SizeRow {
     n: usize,
     pairs_total: u64,
@@ -117,16 +131,15 @@ fn write_baseline() {
         let profiles = profile_series(&windows, None);
         let sketches = sketch_series(&profiles, &prune_config().sketch, None);
 
-        let (sparse, stats) = pruned(&profiles, &sketches);
-        let pruned_ms = perf::median_ms(pruned_samples[k], || {
+        let ((sparse, stats), pruned_ms) = kept_and_median_ms(pruned_samples[k], || {
             pruned(black_box(&profiles), black_box(&sketches))
         });
 
         let (dense_ms, dense_extrapolated, bit_identical) = if dense_samples[k] > 0 {
-            let reference = dense(&profiles);
+            let (reference, t) =
+                kept_and_median_ms(dense_samples[k], || dense(black_box(&profiles)));
             assert_bit_identical(&sparse, &reference, n);
             drop(reference);
-            let t = perf::median_ms(dense_samples[k], || dense(black_box(&profiles)));
             (t, false, Some(true))
         } else {
             let prev = rows.last().expect("extrapolation needs a measured size");

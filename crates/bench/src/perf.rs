@@ -2,6 +2,8 @@
 //! timers, the record writer, the `--smoke` dispatch in each bench's
 //! `main`, and the chaos-channel report stream the two ingest benches feed.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
@@ -109,7 +111,7 @@ pub fn dispatch(smoke: fn(), record: fn()) {
 }
 
 /// One simulator report as the ingest tier receives it.
-fn envelope(t: &TaggedReport) -> IngestReport {
+pub fn envelope(t: &TaggedReport) -> IngestReport {
     IngestReport {
         gateway: t.gateway as u64,
         device: t.device as u32,
@@ -122,7 +124,10 @@ fn envelope(t: &TaggedReport) -> IngestReport {
 /// One simulated fleet week through a channel with everything wrong at once
 /// (loss, duplication, reordering), so the ingest tier's degradation paths
 /// are part of the hot loop. Gateway `id`'s channel is seeded with
-/// `seed_salt + id`.
+/// `seed_salt + id`. The gateways arrive interleaved by reporting minute,
+/// as a collector delivers them (and as `benchmark/` drives ingest): a
+/// stable merge on each gateway's next minute, ties going to the lower id,
+/// so each gateway keeps its channel's order, reordering included.
 pub fn fleet_reports(n_gateways: usize, seed_salt: u64) -> Vec<IngestReport> {
     let channel = ChannelConfig {
         loss: 0.02,
@@ -134,11 +139,30 @@ pub fn fleet_reports(n_gateways: usize, seed_salt: u64) -> Vec<IngestReport> {
         weeks: 1,
         ..FleetConfig::default()
     });
-    fleet
+    let streams: Vec<Vec<IngestReport>> = fleet
         .iter()
-        .flat_map(|gw| gateway_reports_seeded(&gw, channel, seed_salt + gw.id as u64))
-        .map(|t| envelope(&t))
-        .collect()
+        .map(|gw| {
+            gateway_reports_seeded(&gw, channel, seed_salt + gw.id as u64)
+                .iter()
+                .map(envelope)
+                .collect()
+        })
+        .collect();
+    let mut next = vec![0usize; streams.len()];
+    let mut heads: BinaryHeap<Reverse<(u32, usize)>> = streams
+        .iter()
+        .enumerate()
+        .filter_map(|(k, s)| s.first().map(|r| Reverse((r.at.0, k))))
+        .collect();
+    let mut out = Vec::with_capacity(streams.iter().map(Vec::len).sum());
+    while let Some(Reverse((_, k))) = heads.pop() {
+        out.push(streams[k][next[k]]);
+        next[k] += 1;
+        if let Some(r) = streams[k].get(next[k]) {
+            heads.push(Reverse((r.at.0, k)));
+        }
+    }
+    out
 }
 
 #[cfg(test)]

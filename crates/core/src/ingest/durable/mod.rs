@@ -12,10 +12,13 @@
 //!   names the shard, the configuration fingerprint, the first global
 //!   sequence number inside and `records_before` — how many records this
 //!   shard appended to *earlier* segments (including counted losses), the
-//!   stitch line recovery audits against. Records are length-prefixed and
-//!   CRC32-checksummed, so a torn tail is detected and truncated, never
-//!   misparsed. Logging consumed rather than merely accepted reports is
-//!   deliberate: drop classification (late / duplicate / future-jump) is a
+//!   stitch line recovery audits against. Each popped batch is one frame:
+//!   a length prefix, one CRC32 and the records as varint deltas against
+//!   the previous record of the frame (format v2, `WTTSSEG2`), so a torn
+//!   tail is detected and truncated at a frame boundary, never misparsed,
+//!   and a frame decodes on its own. Logging consumed rather than merely
+//!   accepted reports is deliberate: drop classification (late /
+//!   duplicate / future-jump) is a
 //!   *function of state*, so replaying the same consumed sequence
 //!   reproduces the same drops, counters and windows bit for bit.
 //! * **Snapshot** (`snap-<shard>.bin`, atomic tmp+rename) — the full
@@ -25,8 +28,9 @@
 //!   records the last consumed sequence (`coverage_seq`), how many records
 //!   it covers and the shard's total appended count, and recovery replays
 //!   only records beyond `coverage_seq`.
-//! * **Compaction** — after a snapshot publishes, every sealed segment
-//!   whose records all fall at or below `coverage_seq` is deleted
+//! * **Compaction** — after a snapshot publishes, and as a segment seals,
+//!   every sealed segment whose records all fall at or below the published
+//!   `coverage_seq` is deleted
 //!   ([`MetricsSnapshot::wal_segments_compacted`]), so disk usage stays
 //!   bounded by the snapshot cadence plus the segment size instead of
 //!   growing with the stream.
@@ -72,7 +76,6 @@
 //! earlier point", never to corruption. [`FaultyFs::machine_crash`]
 //! simulates exactly that power cut (including an fsync that lied).
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -98,14 +101,14 @@ use lock::{Acquired, LockGuard};
 // Checksums and digests (no external deps: CRC32/IEEE and FNV-1a by hand)
 // ---------------------------------------------------------------------------
 
-/// Slicing-by-8 tables for [`crc32`]: `CRC_TABLES[0]` is the classic
+/// Slicing-by-16 tables for [`crc32`]: `CRC_TABLES[0]` is the classic
 /// bytewise table of the reflected IEEE polynomial, and `CRC_TABLES[k][i]`
 /// is the CRC of byte `i` followed by `k` zero bytes, so one lookup per
-/// byte folds eight input bytes per step.
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+/// byte folds sixteen input bytes per step.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -122,7 +125,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = t[k - 1][i];
@@ -135,24 +138,24 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 }
 
 /// CRC32 (IEEE 802.3, reflected, init/final xor `0xFFFF_FFFF`) — the
-/// polynomial every torn-tail detector speaks. Slicing-by-8: eight bytes
-/// per step through [`CRC_TABLES`], bytewise over the tail; the bits equal
-/// the one-table bytewise CRC.
+/// polynomial every torn-tail detector speaks. Slicing-by-16: sixteen
+/// bytes per step through [`CRC_TABLES`], bytewise over the tail; the bits
+/// equal the one-table bytewise CRC.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
+    // The four table lookups of the little-endian word `w`, whose lowest
+    // byte has `k + 3` bytes after it in the step.
+    let fold = |w: u32, k: usize| {
+        t[k + 3][(w & 0xFF) as usize]
+            ^ t[k + 2][((w >> 8) & 0xFF) as usize]
+            ^ t[k + 1][((w >> 16) & 0xFF) as usize]
+            ^ t[k][(w >> 24) as usize]
+    };
     let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
+    let mut chunks = bytes.chunks_exact(16);
     for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        let word = |i: usize| u32::from_le_bytes([c[i], c[i + 1], c[i + 2], c[i + 3]]);
+        crc = fold(crc ^ word(0), 12) ^ fold(word(4), 8) ^ fold(word(8), 4) ^ fold(word(12), 0);
     }
     for &b in chunks.remainder() {
         crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
@@ -324,14 +327,14 @@ fn encode_lane(buf: &mut Vec<u8>, lane: &GatewayLane) {
     for pm in &lane.pending {
         put_u32(buf, pm.minute);
         put_u64(buf, pm.contributions.len() as u64);
-        for &(device, bytes) in &pm.contributions {
-            put_u32(buf, device);
+        for &(slot, bytes) in &pm.contributions {
+            put_u32(buf, lane.devices[slot as usize].id);
             put_f64(buf, bytes);
         }
     }
     put_u64(buf, lane.devices.len() as u64);
-    for (&id, d) in &lane.devices {
-        put_u32(buf, id);
+    for d in lane.devices_by_id() {
+        put_u32(buf, d.id);
         encode_baseline(buf, d.last);
         encode_baseline(buf, d.suspect);
         let (n, parts) = d.dominance.raw_parts();
@@ -390,6 +393,7 @@ fn decode_lane(
         seen,
     );
     let n_pending = cur.len(12)?;
+    let mut pending = Vec::with_capacity(n_pending);
     for _ in 0..n_pending {
         let minute = cur.u32()?;
         let n_contrib = cur.len(12)?;
@@ -397,7 +401,7 @@ fn decode_lane(
         for _ in 0..n_contrib {
             contributions.push((cur.u32()?, cur.f64()?));
         }
-        lane.pending.push_back(PendingMinute {
+        pending.push(PendingMinute {
             minute,
             contributions,
         });
@@ -405,6 +409,9 @@ fn decode_lane(
     let n_devices = cur.len(4)?;
     for _ in 0..n_devices {
         let id = cur.u32()?;
+        if lane.slots.contains_key(&id) {
+            return Err(corrupt("duplicate device"));
+        }
         let last = decode_baseline(cur)?;
         let suspect = decode_baseline(cur)?;
         let n = cur.u64()?;
@@ -412,14 +419,22 @@ fn decode_lane(
         for p in parts.iter_mut() {
             *p = cur.f64()?;
         }
-        lane.devices.insert(
-            id,
-            super::DeviceState {
-                last,
-                suspect,
-                dominance: OnlinePearson::from_raw_parts(n, parts),
-            },
-        );
+        let slot = lane.slot(id);
+        let device = &mut lane.devices[slot];
+        device.last = last;
+        device.suspect = suspect;
+        device.dominance = OnlinePearson::from_raw_parts(n, parts);
+    }
+    // Contributions are stored by device id; the recovered lane numbers
+    // its slots in id order, which may differ from the live lane's.
+    for mut pm in pending {
+        for c in &mut pm.contributions {
+            c.0 = *lane
+                .slots
+                .get(&c.0)
+                .ok_or_else(|| corrupt("contribution from an unknown device"))?;
+        }
+        lane.pending.push_back(pm);
     }
     Ok(lane)
 }
@@ -435,8 +450,9 @@ pub(crate) fn encode_state(state: &ShardState) -> Vec<u8> {
     for v in state.counts.values() {
         put_u64(&mut buf, v);
     }
-    put_u64(&mut buf, state.lanes.len() as u64);
-    for lane in state.lanes.values() {
+    let lanes = state.lanes_by_gateway();
+    put_u64(&mut buf, lanes.len() as u64);
+    for lane in lanes {
         encode_lane(&mut buf, lane);
     }
     buf
@@ -448,17 +464,20 @@ fn decode_state(bytes: &[u8], config: &IngestConfig, n_templates: usize) -> io::
     let processed = cur.u64()?;
     let counts = ShardCounts::try_from_values(|| cur.u64())?;
     let n_lanes = cur.len(64)?;
-    let mut lanes = BTreeMap::new();
+    let mut state = ShardState::new();
     for _ in 0..n_lanes {
         let lane = decode_lane(&mut cur, config, n_templates)?;
-        lanes.insert(lane.gateway, lane);
+        if state.lane_slots.contains_key(&lane.gateway) {
+            return Err(corrupt("duplicate lane"));
+        }
+        state.lane_slot(lane.gateway, || lane);
     }
     cur.done()?;
     Ok(ShardState {
-        lanes,
         counts,
         last_seq,
         processed,
+        ..state
     })
 }
 
@@ -473,16 +492,25 @@ pub(crate) fn state_digest(state: &ShardState) -> u64 {
 // Segment and snapshot formats
 // ---------------------------------------------------------------------------
 
-const SEG_MAGIC: &[u8; 8] = b"WTTSSEG1";
+/// Segment format v2: one checksummed frame per appended batch. A v1
+/// segment (`WTTSSEG1`, one 48-byte record per report) fails the magic
+/// check; no v1 reader is kept.
+const SEG_MAGIC: &[u8; 8] = b"WTTSSEG2";
 const SNAP_MAGIC: &[u8; 8] = b"WTTSSNAP";
 const SNAP_VERSION: u32 = 2;
 /// Segment header: magic + fingerprint + shard + first_seq + records_before.
 const SEG_HEADER_LEN: usize = 36;
-/// Fixed payload width of a WAL record (seq, gateway, device, at, cum_in,
-/// cum_out); the length prefix exists for forward evolution.
-const WAL_PAYLOAD_LEN: usize = 40;
-/// On-disk bytes of one record: u32 length + u32 CRC + payload.
-const RECORD_LEN: usize = 8 + WAL_PAYLOAD_LEN;
+/// Frame prefix: u32 body length + u32 CRC32 of the body.
+const FRAME_PREFIX_LEN: usize = 8;
+/// Frame body header: u32 record count + u64 first sequence number.
+const FRAME_BODY_HEADER_LEN: usize = 12;
+/// The shortest record: six one-byte varints.
+const MIN_RECORD_LEN: usize = 6;
+/// The longest record: six ten-byte varints.
+const MAX_RECORD_LEN: usize = 60;
+/// A batch longer than this is logged as several frames, so a frame's
+/// length always fits its `u32` prefix.
+const MAX_FRAME_RECORDS: usize = 1 << 20;
 /// Flush the append buffer once it exceeds this many bytes (and always
 /// before a snapshot, on segment rotation, and at stream end).
 const WAL_FLUSH_BYTES: usize = 64 * 1024;
@@ -519,67 +547,222 @@ fn encode_seg_header(
     h
 }
 
-fn encode_wal_payload(seq: u64, r: &IngestReport) -> [u8; WAL_PAYLOAD_LEN] {
-    let mut p = [0u8; WAL_PAYLOAD_LEN];
-    p[0..8].copy_from_slice(&seq.to_le_bytes());
-    p[8..16].copy_from_slice(&r.gateway.to_le_bytes());
-    p[16..20].copy_from_slice(&r.device.to_le_bytes());
-    p[20..24].copy_from_slice(&r.at.0.to_le_bytes());
-    p[24..32].copy_from_slice(&r.cum_in.to_le_bytes());
-    p[32..40].copy_from_slice(&r.cum_out.to_le_bytes());
-    p
+/// Maps a signed delta onto an unsigned varint value, small magnitudes to
+/// small values (0, -1, 1, -2, … → 0, 1, 2, 3, …).
+fn zigzag(d: i64) -> u64 {
+    ((d << 1) ^ (d >> 63)) as u64
 }
 
-fn decode_wal_payload(p: &[u8]) -> io::Result<(u64, IngestReport)> {
-    let mut cur = Cursor::new(p);
-    let seq = cur.u64()?;
-    let report = IngestReport {
-        gateway: cur.u64()?,
-        device: cur.u32()?,
-        at: Minute(cur.u32()?),
-        cum_in: cur.u64()?,
-        cum_out: cur.u64()?,
-    };
-    cur.done()?;
-    Ok((seq, report))
+fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
 }
 
-/// Result of scanning one WAL segment.
-struct SegScan {
-    /// Whether the segment had a complete, matching header. A headerless
-    /// shell (the process died inside the header write) carries nothing.
-    header_ok: bool,
-    /// The shard's appended-record count (durable + counted losses) when
-    /// this segment was opened — the stitch line recovery audits.
-    records_before: u64,
-    /// Decoded records in append order.
-    records: Vec<(u64, IngestReport)>,
-    /// File length of the valid checksummed prefix (header included).
+/// Writes `v` as an LEB128 varint at `out[n..]`, advancing `n`.
+fn put_varint(out: &mut [u8; MAX_RECORD_LEN], n: &mut usize, mut v: u64) {
+    while v >= 0x80 {
+        out[*n] = v as u8 | 0x80;
+        *n += 1;
+        v >>= 7;
+    }
+    out[*n] = v as u8;
+    *n += 1;
+}
+
+/// Reads an LEB128 varint at `bytes[*pos..]`; `None` when it runs off the
+/// end or past ten bytes.
+fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..70).step_by(7) {
+        let b = *bytes.get(*pos)?;
+        *pos += 1;
+        v |= u64::from(b & 0x7F) << shift;
+        if b < 0x80 {
+            return Some(v);
+        }
+    }
+    None
+}
+
+/// The fields a record codes as deltas against the previous record of its
+/// frame: seq, gateway, device, minute. A frame starts from its first seq
+/// and zeros, so it decodes on its own.
+type DeltaBase = (u64, u64, u32, u32);
+
+/// Appends one frame holding `batch` (non-empty, at most
+/// [`MAX_FRAME_RECORDS`]) to `buf`: the body length and its CRC32, then
+/// the body — record count, first seq, and per record the zigzag varint
+/// deltas of seq, gateway, device and minute against the previous record
+/// followed by both counters as plain varints.
+fn encode_frame(buf: &mut Vec<u8>, batch: &[(u64, IngestReport)]) {
+    let start = buf.len();
+    buf.reserve(FRAME_PREFIX_LEN + FRAME_BODY_HEADER_LEN + batch.len() * MAX_RECORD_LEN);
+    buf.extend_from_slice(&[0; FRAME_PREFIX_LEN]);
+    put_u32(buf, batch.len() as u32);
+    put_u64(buf, batch[0].0);
+    let mut prev: DeltaBase = (batch[0].0, 0, 0, 0);
+    let mut rec = [0u8; MAX_RECORD_LEN];
+    for &(seq, r) in batch {
+        let mut n = 0;
+        put_varint(&mut rec, &mut n, zigzag(seq.wrapping_sub(prev.0) as i64));
+        put_varint(
+            &mut rec,
+            &mut n,
+            zigzag(r.gateway.wrapping_sub(prev.1) as i64),
+        );
+        put_varint(
+            &mut rec,
+            &mut n,
+            zigzag(r.device.wrapping_sub(prev.2) as i32 as i64),
+        );
+        put_varint(
+            &mut rec,
+            &mut n,
+            zigzag(r.at.0.wrapping_sub(prev.3) as i32 as i64),
+        );
+        put_varint(&mut rec, &mut n, r.cum_in);
+        put_varint(&mut rec, &mut n, r.cum_out);
+        buf.extend_from_slice(&rec[..n]);
+        prev = (seq, r.gateway, r.device, r.at.0);
+    }
+    let body = start + FRAME_PREFIX_LEN;
+    let len = (buf.len() - body) as u32;
+    let crc = crc32(&buf[body..]);
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    buf[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Decodes a checksummed frame body into `out` (cleared first). `None`
+/// when the body does not parse — a count its bytes cannot hold, a varint
+/// running off the end, or trailing bytes — and `out` is then to be
+/// discarded.
+fn decode_frame(body: &[u8], out: &mut Vec<(u64, IngestReport)>) -> Option<()> {
+    out.clear();
+    let header = body.get(..FRAME_BODY_HEADER_LEN)?;
+    let count = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
+    let first_seq = u64::from_le_bytes(header[4..12].try_into().unwrap());
+    if count == 0 || count > (body.len() - FRAME_BODY_HEADER_LEN) / MIN_RECORD_LEN {
+        return None;
+    }
+    let mut pos = FRAME_BODY_HEADER_LEN;
+    let mut prev: DeltaBase = (first_seq, 0, 0, 0);
+    out.reserve(count);
+    for _ in 0..count {
+        let seq = prev
+            .0
+            .wrapping_add(unzigzag(get_varint(body, &mut pos)?) as u64);
+        let gateway = prev
+            .1
+            .wrapping_add(unzigzag(get_varint(body, &mut pos)?) as u64);
+        let device = prev
+            .2
+            .wrapping_add(unzigzag(get_varint(body, &mut pos)?) as u32);
+        let at = prev
+            .3
+            .wrapping_add(unzigzag(get_varint(body, &mut pos)?) as u32);
+        let report = IngestReport {
+            gateway,
+            device,
+            at: Minute(at),
+            cum_in: get_varint(body, &mut pos)?,
+            cum_out: get_varint(body, &mut pos)?,
+        };
+        out.push((seq, report));
+        prev = (seq, gateway, device, at);
+    }
+    (pos == body.len()).then_some(())
+}
+
+/// What a scan of a segment's frames found.
+struct FrameScan {
+    /// File length of the valid prefix of whole frames (header included).
     valid_len: u64,
+    /// Last sequence number in the valid prefix.
+    last_seq: Option<u64>,
     /// 1 if a torn/corrupt tail was found (and everything after the valid
     /// prefix discarded), else 0.
     torn: u64,
 }
 
-/// Reads a segment, stopping at the first torn or corrupt record. A bad
-/// checksum anywhere truncates the view at the last valid record — a torn
-/// tail must never be half-applied. Header mismatches (magic, fingerprint,
-/// shard) are hard errors: that is configuration confusion, not disk wear.
-fn scan_segment(
+/// Walks the frames after a segment header and stops at the first torn or
+/// corrupt one: a torn tail is never half-applied. Every frame's checksum
+/// is verified, but a frame is decoded, and its records handed to
+/// `on_record` in append order, only when it can hold a seq past
+/// `after_seq`: seqs rise through a segment, so a frame whose successor
+/// starts at or below `after_seq + 1` holds none, and recovery does not
+/// decode what its snapshot covers. One frame is decoded at a time, so
+/// replay holds one frame of records, not a segment's.
+fn scan_frames(
+    bytes: &[u8],
+    after_seq: u64,
+    mut on_record: impl FnMut(u64, &IngestReport),
+) -> FrameScan {
+    // The whole, checksummed frames: where each body starts, and its first seq.
+    let mut frames = Vec::new();
+    let mut pos = SEG_HEADER_LEN;
+    let mut torn = 0;
+    while pos < bytes.len() {
+        let Some(prefix) = bytes.get(pos..pos + FRAME_PREFIX_LEN) else {
+            torn = 1;
+            break;
+        };
+        let len = u32::from_le_bytes(prefix[0..4].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(prefix[4..8].try_into().unwrap());
+        let body_start = pos + FRAME_PREFIX_LEN;
+        match bytes.get(body_start..body_start.saturating_add(len)) {
+            Some(body) if body.len() >= FRAME_BODY_HEADER_LEN && crc32(body) == crc => {
+                frames.push((
+                    body_start,
+                    u64::from_le_bytes(body[4..12].try_into().unwrap()),
+                ));
+                pos = body_start + len;
+            }
+            _ => {
+                torn = 1;
+                break;
+            }
+        }
+    }
+    let mut scan = FrameScan {
+        valid_len: pos as u64,
+        last_seq: None,
+        torn,
+    };
+    let mut frame = Vec::new();
+    for (k, &(body_start, _)) in frames.iter().enumerate() {
+        let next = frames.get(k + 1);
+        if next.is_some_and(|&(_, first_seq)| first_seq <= after_seq.saturating_add(1)) {
+            continue;
+        }
+        let body_end = next.map_or(pos, |&(next_start, _)| next_start - FRAME_PREFIX_LEN);
+        if decode_frame(&bytes[body_start..body_end], &mut frame).is_none() {
+            scan.valid_len = (body_start - FRAME_PREFIX_LEN) as u64;
+            scan.torn = 1;
+            break;
+        }
+        for (seq, report) in &frame {
+            on_record(*seq, report);
+        }
+        scan.last_seq = frame.last().map(|&(seq, _)| seq);
+    }
+    scan
+}
+
+/// Reads a segment file and checks its header, returning its bytes and
+/// the shard's appended-record count when it was opened
+/// (`records_before`, the stitch line recovery audits); `None` for a shell
+/// without a whole header (the process died inside the header write),
+/// which carries nothing. Header mismatches (magic, fingerprint, shard)
+/// are hard errors: that is configuration confusion (or a segment of
+/// another format version), not disk wear.
+fn read_segment(
     fs: &dyn WalFs,
     path: &Path,
     shard: usize,
     fingerprint: u64,
-) -> io::Result<SegScan> {
+) -> io::Result<Option<(Vec<u8>, u64)>> {
     let bytes = fs.read(path)?;
     if bytes.len() < SEG_HEADER_LEN {
-        return Ok(SegScan {
-            header_ok: false,
-            records_before: 0,
-            records: Vec::new(),
-            valid_len: 0,
-            torn: 1,
-        });
+        return Ok(None);
     }
     if &bytes[0..8] != SEG_MAGIC {
         return Err(corrupt("bad segment magic"));
@@ -593,35 +776,7 @@ fn scan_segment(
         return Err(corrupt("segment shard mismatch"));
     }
     let records_before = u64::from_le_bytes(bytes[28..36].try_into().unwrap());
-    let mut records = Vec::new();
-    let mut pos = SEG_HEADER_LEN;
-    let mut torn = 0u64;
-    while pos < bytes.len() {
-        if bytes.len() - pos < 8 {
-            torn = 1;
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        if len != WAL_PAYLOAD_LEN || bytes.len() - pos - 8 < len {
-            torn = 1;
-            break;
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != crc {
-            torn = 1;
-            break;
-        }
-        records.push(decode_wal_payload(payload)?);
-        pos += 8 + len;
-    }
-    Ok(SegScan {
-        header_ok: true,
-        records_before,
-        records,
-        valid_len: pos as u64,
-        torn,
-    })
+    Ok(Some((bytes, records_before)))
 }
 
 /// Outcome of loading a shard snapshot.
@@ -643,8 +798,8 @@ enum SnapLoad {
         /// (durable + previously counted losses, "T"); `T - S` is the
         /// inherited durability gap carried across recoveries.
         total_records: u64,
-        /// The decoded shard state.
-        state: ShardState,
+        /// The decoded shard state (boxed: it dwarfs the other variants).
+        state: Box<ShardState>,
     },
 }
 
@@ -688,7 +843,7 @@ fn load_snapshot(
     let covered_records = cur.u64()?;
     let total_records = cur.u64()?;
     let state_len = cur.len(1)?;
-    let state = decode_state(cur.take(state_len)?, config, n_templates)?;
+    let state = Box::new(decode_state(cur.take(state_len)?, config, n_templates)?);
     cur.done()?;
     Ok(SnapLoad::Loaded {
         coverage_seq,
@@ -867,6 +1022,9 @@ pub(crate) struct ShardDurability {
     segment_bytes: u64,
     snapshot_every: u64,
     last_snapshot_processed: u64,
+    /// Coverage seq of the snapshot known to be on disk (0: none). A
+    /// segment sealed at or below it is compacted at once.
+    published_coverage: u64,
     snap: PathBuf,
     snap_tmp: PathBuf,
     /// Records appended over the shard's lifetime: durable + counted
@@ -875,9 +1033,13 @@ pub(crate) struct ShardDurability {
     total_records: u64,
     active: Option<ActiveSegment>,
     sealed: Vec<SegmentInfo>,
-    /// Appended-but-unflushed record bytes; a crash drops these.
+    /// Appended-but-unflushed frames; a crash drops these.
     buf: Vec<u8>,
+    /// Records in `buf`.
     buf_records: u64,
+    /// Where each frame in `buf` ends, with its record count: a short
+    /// write leaves the whole frames before the write point durable.
+    buf_frames: Vec<(usize, u64)>,
     degraded: bool,
 }
 
@@ -897,12 +1059,10 @@ impl ShardDurability {
             metrics,
             fingerprint,
             fsync: durable.fsync,
-            // A segment must at least fit its header and one record.
-            segment_bytes: durable
-                .segment_bytes
-                .max((SEG_HEADER_LEN + RECORD_LEN) as u64),
+            segment_bytes: durable.segment_bytes,
             snapshot_every: durable.snapshot_every_reports.max(1),
             last_snapshot_processed: 0,
+            published_coverage: 0,
             snap_tmp: snap.with_extension("tmp"),
             snap,
             total_records: 0,
@@ -910,6 +1070,7 @@ impl ShardDurability {
             sealed: Vec::new(),
             buf: Vec::new(),
             buf_records: 0,
+            buf_frames: Vec::new(),
             degraded: false,
         }
     }
@@ -928,57 +1089,66 @@ impl ShardDurability {
         self.degraded = true;
         let gap = lost + self.buf_records;
         self.note_gap(gap);
-        self.buf.clear();
-        self.buf_records = 0;
+        self.clear_buf();
         self.active = None;
         self.sealed.clear();
     }
 
-    /// Appends a batch of reports about to be consumed, in order. Each
-    /// record is buffered exactly as a one-at-a-time append would buffer
-    /// it, so flush, rotation and every file operation land on the same
-    /// record boundaries whatever the batch size. Infallible: exhausted
-    /// retries degrade the shard instead of erroring.
+    /// Drops every buffered frame.
+    fn clear_buf(&mut self) {
+        self.buf.clear();
+        self.buf_records = 0;
+        self.buf_frames.clear();
+    }
+
+    /// Appends a batch of reports about to be consumed, in order, as one
+    /// frame (a batch beyond [`MAX_FRAME_RECORDS`] takes several). Frames
+    /// are buffered; flush and rotation decide at frame boundaries.
+    /// Infallible: exhausted retries degrade the shard instead of erroring.
     pub(crate) fn append(&mut self, batch: &[(u64, IngestReport)]) {
-        for (seq, report) in batch {
-            self.append_one(*seq, report);
+        for frame in batch.chunks(MAX_FRAME_RECORDS) {
+            self.append_frame(frame);
         }
     }
 
-    /// Appends one report (buffered; flushed on threshold, before
+    /// Appends one frame (buffered; flushed on threshold, before
     /// snapshots, on rotation, and at stream end).
-    fn append_one(&mut self, seq: u64, report: &IngestReport) {
-        self.total_records += 1;
+    fn append_frame(&mut self, batch: &[(u64, IngestReport)]) {
+        let records = batch.len() as u64;
+        let records_before = self.total_records;
+        self.total_records += records;
         if self.degraded {
-            self.note_gap(1);
+            self.note_gap(records);
             return;
         }
-        // Rotate when this record would push the active segment past its
-        // bound (never rotate an empty segment: one oversized record per
-        // segment beats an infinite rotation loop).
+        let frame_start = self.buf.len();
+        encode_frame(&mut self.buf, batch);
+        // Rotate when this frame would push the active segment past its
+        // bound (never rotate an empty segment: one oversized frame per
+        // segment beats an infinite rotation loop). The frames before it
+        // seal the old segment; it opens the new one.
         if let Some(a) = &self.active {
-            let projected = a.flushed_len + (self.buf.len() + RECORD_LEN) as u64;
+            let projected = a.flushed_len + self.buf.len() as u64;
             if projected > self.segment_bytes && (a.records > 0 || self.buf_records > 0) {
+                let frame = self.buf.split_off(frame_start);
                 self.seal_active();
+                self.buf.extend_from_slice(&frame);
             }
         }
         if !self.degraded && self.active.is_none() {
-            self.open_segment(seq);
+            self.open_segment(batch[0].0, records_before);
         }
         if self.degraded {
-            self.note_gap(1);
+            self.buf.clear();
+            self.note_gap(records);
             return;
         }
-        let payload = encode_wal_payload(seq, report);
-        self.buf
-            .extend_from_slice(&(WAL_PAYLOAD_LEN as u32).to_le_bytes());
-        self.buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.buf.extend_from_slice(&payload);
-        self.buf_records += 1;
+        self.buf_records += records;
+        self.buf_frames.push((self.buf.len(), records));
         self.active
             .as_mut()
             .expect("active segment after open")
-            .last_seq = seq;
+            .last_seq = batch[batch.len() - 1].0;
         if self.buf.len() >= WAL_FLUSH_BYTES {
             if let Err(gave) = self.flush_inner() {
                 self.enter_degraded(gave.lost_records);
@@ -986,19 +1156,13 @@ impl ShardDurability {
         }
     }
 
-    /// Opens a fresh segment whose first record will carry `first_seq`.
-    /// On give-up the shard degrades (the record count lost here is zero —
-    /// nothing was buffered against the new segment yet).
-    fn open_segment(&mut self, first_seq: u64) {
+    /// Opens a fresh segment whose first record will carry `first_seq`,
+    /// after `records_before` records of earlier segments. On give-up the
+    /// shard degrades (the record count lost here is zero — nothing was
+    /// buffered against the new segment yet).
+    fn open_segment(&mut self, first_seq: u64, records_before: u64) {
         let path = seg_path(&self.dir, self.shard, first_seq);
-        // The current record was already counted into total_records by
-        // append_one(); everything before it belongs to earlier segments.
-        let header = encode_seg_header(
-            self.shard,
-            self.fingerprint,
-            first_seq,
-            self.total_records - 1,
-        );
+        let header = encode_seg_header(self.shard, self.fingerprint, first_seq, records_before);
         let io = self.io.clone();
         let fs = Arc::clone(&self.fs);
         let (created, retries) = with_retry(&io, || fs.create(&path));
@@ -1043,6 +1207,9 @@ impl ShardDurability {
     }
 
     /// Flushes and retires the active segment into the compaction queue.
+    /// Rotation and snapshots both fall on batch boundaries, so a segment
+    /// often seals right after a snapshot covered all of it; it is
+    /// compacted then rather than at the next snapshot.
     fn seal_active(&mut self) {
         if let Err(gave) = self.flush_inner() {
             self.enter_degraded(gave.lost_records);
@@ -1054,6 +1221,7 @@ impl ShardDurability {
                     path: a.path,
                     last_seq: a.last_seq,
                 });
+                self.compact(self.published_coverage);
             } else {
                 // An empty shell (header only) carries nothing.
                 let _ = self.fs.remove(&a.path);
@@ -1062,7 +1230,7 @@ impl ShardDurability {
     }
 
     /// Writes the append buffer to the active segment, resubmitting short
-    /// writes and retrying transients. On give-up, whole records already
+    /// writes and retrying transients. On give-up, whole frames already
     /// on disk stay durable (counted `wal_records`); the remainder of the
     /// buffer is returned as the typed loss.
     fn flush_inner(&mut self) -> Result<(), WalGaveUp> {
@@ -1074,8 +1242,7 @@ impl ShardDurability {
         while off < self.buf.len() {
             let Some(active) = self.active.as_mut() else {
                 let lost = self.buf_records;
-                self.buf.clear();
-                self.buf_records = 0;
+                self.clear_buf();
                 return Err(WalGaveUp {
                     lost_records: lost,
                     error: io::Error::new(io::ErrorKind::NotFound, "no active segment"),
@@ -1093,18 +1260,22 @@ impl ShardDurability {
             match res {
                 Ok(n) => off += n,
                 Err(error) => {
-                    // Whole records below the write point are durable; the
-                    // partial tail (if any) is a torn record recovery will
+                    // Whole frames below the write point are durable; the
+                    // partial tail (if any) is a torn frame recovery will
                     // truncate away.
-                    let whole = (off / RECORD_LEN) as u64;
-                    let lost = self.buf_records.saturating_sub(whole);
+                    let whole: u64 = self
+                        .buf_frames
+                        .iter()
+                        .take_while(|&&(end, _)| end <= off)
+                        .map(|&(_, records)| records)
+                        .sum();
+                    let lost = self.buf_records - whole;
                     let a = self.active.as_mut().expect("active segment");
                     a.flushed_len += off as u64;
                     a.records += whole;
                     self.metrics.wal_records.add(whole);
                     self.metrics.wal_io_gave_up.incr();
-                    self.buf.clear();
-                    self.buf_records = 0;
+                    self.clear_buf();
                     return Err(WalGaveUp {
                         lost_records: lost,
                         error,
@@ -1120,8 +1291,7 @@ impl ShardDurability {
             a.records += flushed_records;
         }
         self.metrics.wal_records.add(flushed_records);
-        self.buf.clear();
-        self.buf_records = 0;
+        self.clear_buf();
         if self.fsync {
             let active = self.active.as_mut().expect("active segment");
             let (res, retries) = with_retry(&io, || active.file.sync());
@@ -1140,8 +1310,7 @@ impl ShardDurability {
     /// Simulated process death: unflushed bytes are gone. (Used by the
     /// in-process kill switch; a real SIGKILL gets this for free.)
     pub(crate) fn crash(&mut self) {
-        self.buf.clear();
-        self.buf_records = 0;
+        self.clear_buf();
     }
 
     /// Whether the snapshot cadence has elapsed. Degraded shards stop
@@ -1214,9 +1383,12 @@ impl ShardDurability {
         if res.is_err() {
             self.metrics.wal_io_gave_up.incr();
             let _ = fs.remove(&tmp);
+            // A torn rename may have unlinked the published snapshot.
+            self.published_coverage = 0;
             return;
         }
         self.last_snapshot_processed = state.processed;
+        self.published_coverage = state.last_seq;
         self.metrics.snapshots_written.incr();
         self.compact(state.last_seq);
     }
@@ -1484,7 +1656,7 @@ impl DurablePipeline {
                     // The inherited gap: losses already counted by the run
                     // that wrote this snapshot.
                     let gap = total_records.saturating_sub(covered_records);
-                    (state, coverage_seq, covered_records, gap)
+                    (*state, coverage_seq, covered_records, gap)
                 }
                 SnapLoad::Discarded => {
                     metrics.snapshots_discarded.incr();
@@ -1503,40 +1675,37 @@ impl DurablePipeline {
                 let _span = metrics.replay.enter();
                 for (_first_seq, name) in &segs {
                     let path = durable.dir.join(name);
-                    let scan = scan_segment(fs.as_ref(), &path, shard, fingerprint)
-                        .map_err(DurableError::Io)?;
-                    if !scan.header_ok {
+                    let Some((bytes, records_before)) =
+                        read_segment(fs.as_ref(), &path, shard, fingerprint)
+                            .map_err(DurableError::Io)?
+                    else {
                         // A shell without a whole header carries nothing.
-                        metrics.wal_torn_records.add(scan.torn);
+                        metrics.wal_torn_records.incr();
                         match fs.remove(&path) {
                             Ok(()) | Err(_) => {}
                         }
                         continue;
-                    }
+                    };
                     let accounted = covered + above + gap;
-                    if scan.records_before > accounted {
-                        let hole = scan.records_before - accounted;
+                    if records_before > accounted {
+                        let hole = records_before - accounted;
                         gap += hole;
                     }
-                    for (seq, report) in &scan.records {
-                        if *seq <= coverage_seq {
-                            continue;
+                    let scan = scan_frames(&bytes, coverage_seq, |seq, report| {
+                        if seq > coverage_seq {
+                            state.consume(seq, report, pipeline.config(), &pipeline.templates);
+                            above += 1;
                         }
-                        state.consume(*seq, report, pipeline.config(), &pipeline.templates);
-                        above += 1;
-                    }
+                    });
                     metrics.wal_torn_records.add(scan.torn);
                     if scan.torn > 0 {
                         // Heal the torn tail so future scans are clean.
                         fs.set_len(&path, scan.valid_len)
                             .map_err(DurableError::Io)?;
                     }
-                    match scan.records.last() {
-                        Some((last_seq, _)) if *last_seq > coverage_seq => {
-                            sealed.push(SegmentInfo {
-                                path,
-                                last_seq: *last_seq,
-                            });
+                    match scan.last_seq {
+                        Some(last_seq) if last_seq > coverage_seq => {
+                            sealed.push(SegmentInfo { path, last_seq });
                         }
                         _ => {
                             // Empty, or fully covered by the snapshot:
@@ -1566,6 +1735,7 @@ impl DurablePipeline {
             let mut hook = ShardDurability::new(shard, &durable, fingerprint, Arc::clone(&metrics));
             hook.total_records = state.processed + gap;
             hook.last_snapshot_processed = state.processed;
+            hook.published_coverage = coverage_seq;
             hook.sealed = sealed;
             states.push(state);
             hooks.push(hook);
@@ -1722,6 +1892,21 @@ pub fn segment_files(dir: &Path, shard: usize) -> io::Result<Vec<(u64, PathBuf)>
     Ok(out)
 }
 
+/// The last sequence number in a segment's valid prefix of whole frames
+/// (`None` when it holds none). Reads the real filesystem; checks the
+/// format magic but, like [`snapshot_coverage`], not the fingerprint or
+/// shard.
+pub fn segment_last_seq(path: &Path) -> io::Result<Option<u64>> {
+    let bytes = std::fs::read(path)?;
+    if bytes.len() < SEG_HEADER_LEN {
+        return Ok(None);
+    }
+    if &bytes[0..8] != SEG_MAGIC {
+        return Err(corrupt("bad segment magic"));
+    }
+    Ok(scan_frames(&bytes, u64::MAX, |_, _| {}).last_seq)
+}
+
 /// The coverage sequence of a shard's snapshot, if a checksummed-valid one
 /// exists. Reads the real filesystem; does not validate the fingerprint
 /// (inspection must work without knowing the run's configuration).
@@ -1781,6 +1966,34 @@ mod tests {
         }
     }
 
+    /// Where each frame of a segment file ends, in file order, walking the
+    /// length prefixes.
+    fn frame_ends(bytes: &[u8]) -> Vec<usize> {
+        let mut ends = Vec::new();
+        let mut pos = SEG_HEADER_LEN;
+        while pos < bytes.len() {
+            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+            pos += FRAME_PREFIX_LEN + len as usize;
+            ends.push(pos);
+        }
+        ends
+    }
+
+    /// Four-report batches into segments that fit about two of their
+    /// frames, so a short stream rotates through many segments.
+    fn rotating(dir: &Path, snapshot_every: u64) -> (IngestConfig, DurableConfig) {
+        let cfg = IngestConfig {
+            batch_reports: 4,
+            ..config(1)
+        };
+        let dcfg = DurableConfig {
+            snapshot_every_reports: snapshot_every,
+            segment_bytes: (SEG_HEADER_LEN + 120) as u64,
+            ..DurableConfig::new(dir)
+        };
+        (cfg, dcfg)
+    }
+
     fn flat_stream(gateway: u64, n: u32) -> Vec<IngestReport> {
         (0..n)
             .map(|m| report(gateway, 0, m, (m as u64 + 1) * 10))
@@ -1838,7 +2051,7 @@ mod tests {
         crc ^ 0xFFFF_FFFF
     }
 
-    /// Every length from empty through several 8-byte strides plus each
+    /// Every length from empty through several 16-byte strides plus each
     /// possible tail, over seeded bytes: the sliced CRC equals the
     /// reference, so nothing on disk changes.
     #[test]
@@ -1862,10 +2075,12 @@ mod tests {
     }
 
     /// The on-disk format, pinned: a fixed two-shard stream with segment
-    /// rotation, snapshots and compaction leaves segment and snapshot bytes
-    /// whose FNV-1a digest (file names included) is recorded here, as is
-    /// the run's state digest. A change to the record checksum, the record
-    /// layout or the canonical state encoding moves one of them.
+    /// rotation, snapshots and compaction leaves snapshot files and segment
+    /// files whose FNV-1a digests (file names included) are recorded here
+    /// one kind at a time, as is the run's state digest. A change to the
+    /// canonical state encoding moves the snapshot digest and the state
+    /// digest; a change to the frame layout or its checksum moves only the
+    /// segment digest.
     #[test]
     fn wal_and_snapshot_bytes_are_pinned() {
         let dir = tmp_dir("golden");
@@ -1896,28 +2111,106 @@ mod tests {
             .filter(|name| name != LOCK_FILE)
             .collect();
         names.sort_unstable();
-        assert!(names.iter().any(|n| n.starts_with("snap-")));
+        let files_digest = |prefix: &str| {
+            let mut digest = FNV_OFFSET;
+            for name in names.iter().filter(|n| n.starts_with(prefix)) {
+                digest = fnv1a64_bytes(digest, name.as_bytes());
+                digest = fnv1a64_bytes(digest, &std::fs::read(dir.join(name)).unwrap());
+            }
+            digest
+        };
+        assert_eq!(names.iter().filter(|n| n.starts_with("snap-")).count(), 2);
         assert!(names.iter().any(|n| n.starts_with("wal-")));
-        let mut bytes_digest = FNV_OFFSET;
-        for name in &names {
-            bytes_digest = fnv1a64_bytes(bytes_digest, name.as_bytes());
-            bytes_digest = fnv1a64_bytes(bytes_digest, &std::fs::read(dir.join(name)).unwrap());
-        }
         assert_eq!(
-            (bytes_digest, state_digest),
-            (0xbe42_a096_5962_6bae, 0x73cd_2584_6a5b_fa83),
-            "on-disk bytes or state encoding changed"
+            files_digest("snap-"),
+            0x9df1_c02c_a14b_425a,
+            "snapshot bytes changed"
+        );
+        assert_eq!(
+            state_digest, 0x73cd_2584_6a5b_fa83,
+            "state encoding changed"
+        );
+        assert_eq!(
+            files_digest("wal-"),
+            0x759e_608a_1815_2b1e,
+            "segment bytes changed"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A frame decodes to the batch it encodes, through deltas of every
+    /// sign and width: gateways and devices jumping down and up across
+    /// their whole ranges, minutes running backwards (a reordered report),
+    /// seq gaps, and counters at zero and at their maximum.
     #[test]
     fn wal_payload_roundtrip() {
-        let r = report(42, 7, 1234, 99_999);
-        let p = encode_wal_payload(567, &r);
-        let (seq, back) = decode_wal_payload(&p).unwrap();
-        assert_eq!(seq, 567);
-        assert_eq!(back, r);
+        let batch = vec![
+            (567, report(42, 7, 1234, 99_999)),
+            (
+                568,
+                IngestReport {
+                    cum_out: u64::MAX,
+                    ..report(u64::MAX, u32::MAX, u32::MAX, u64::MAX)
+                },
+            ),
+            (990, report(0, 0, 0, 0)),
+            (991, report(42, 9, 1200, 1 << 40)),
+            (u64::MAX, report(1 << 63, 1 << 31, 1, 7)),
+        ];
+        let mut buf = Vec::new();
+        encode_frame(&mut buf, &batch);
+        let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
+        assert_eq!(len, buf.len() - FRAME_PREFIX_LEN);
+        let body = &buf[FRAME_PREFIX_LEN..];
+        assert_eq!(
+            crc32(body),
+            u32::from_le_bytes(buf[4..8].try_into().unwrap())
+        );
+        let mut back = Vec::new();
+        assert!(decode_frame(body, &mut back).is_some());
+        assert_eq!(back, batch);
+
+        // A body cut short or padded does not parse.
+        assert!(decode_frame(&body[..body.len() - 1], &mut back).is_none());
+        let mut padded = body.to_vec();
+        padded.push(0);
+        assert!(decode_frame(&padded, &mut back).is_none());
+    }
+
+    /// Recovery reads whatever a crash or a bad disk left: a frame cut
+    /// anywhere, flipped bits, or bytes that were never a frame. The scan
+    /// never panics and never reaches past the bytes it was given.
+    #[test]
+    fn corrupt_frames_never_panic() {
+        let batch: Vec<(u64, IngestReport)> = (1..50u64)
+            .map(|i| (i, report(i % 3, (i % 5) as u32, i as u32, i * 1000)))
+            .collect();
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, &batch);
+        let mut x = 0x1234_5678_9ABC_DEF0u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as usize
+        };
+        for round in 0..20_000 {
+            let mut bytes = vec![0u8; SEG_HEADER_LEN];
+            if round % 2 == 0 {
+                bytes.extend_from_slice(&frame);
+                for _ in 0..next() % 4 {
+                    let i = SEG_HEADER_LEN + next() % frame.len();
+                    bytes[i] ^= next() as u8;
+                }
+                bytes.truncate(SEG_HEADER_LEN + next() % (frame.len() + 1));
+            } else {
+                let len = next() % 300;
+                bytes.extend((0..len).map(|_| next() as u8));
+            }
+            let scan = scan_frames(&bytes, 0, |_, _| {});
+            assert!(scan.valid_len as usize <= bytes.len());
+            assert_eq!(scan.torn == 0, scan.valid_len as usize == bytes.len());
+        }
     }
 
     #[test]
@@ -2017,11 +2310,11 @@ mod tests {
             for shard in 0..2 {
                 let mut state = ShardState::new();
                 for (_first, path) in segment_files(&dir, shard).unwrap() {
-                    let scan = scan_segment(&StdFs, &path, shard, fingerprint).unwrap();
+                    let (bytes, _) = read_segment(&StdFs, &path, shard, fingerprint)
+                        .unwrap()
+                        .expect("a whole header");
+                    let scan = scan_frames(&bytes, 0, |seq, r| state.consume(seq, r, &cfg, &[]));
                     assert_eq!(scan.torn, 0, "clean abort leaves no torn tail");
-                    for (seq, r) in &scan.records {
-                        state.consume(*seq, r, &cfg, &[]);
-                    }
                 }
                 reference = fnv1a64_u64(reference, state_digest(&state));
             }
@@ -2043,8 +2336,8 @@ mod tests {
         }
     }
 
-    /// A segment truncated mid-record recovers to the last valid
-    /// checksummed record, heals the file, and counts the tear.
+    /// A segment truncated mid-frame recovers to the last valid
+    /// checksummed frame, heals the file, and counts the tear.
     #[test]
     fn torn_segment_tail_is_truncated_and_counted() {
         let dir = tmp_dir("torn");
@@ -2060,37 +2353,34 @@ mod tests {
         }
         drop(p);
 
-        // Tear the file mid-record: keep the header, 40 full records, and
-        // 13 bytes of the 41st.
+        // Tear the file mid-frame: keep the header, the first two frames
+        // (16-report batches: 32 records) and 13 bytes of the third.
         let segs = segment_files(&dir, 0).unwrap();
         assert_eq!(segs.len(), 1, "default segment size holds 100 records");
         let path = segs[0].1.clone();
-        let full = std::fs::metadata(&path).unwrap().len();
-        assert_eq!(full, (SEG_HEADER_LEN + 100 * RECORD_LEN) as u64);
-        let torn_len = (SEG_HEADER_LEN + 40 * RECORD_LEN + 13) as u64;
+        let ends = frame_ends(&std::fs::read(&path).unwrap());
+        assert_eq!(ends.len(), 7, "one frame per batch");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), ends[6] as u64);
         std::fs::OpenOptions::new()
             .write(true)
             .open(&path)
             .unwrap()
-            .set_len(torn_len)
+            .set_len((ends[1] + 13) as u64)
             .unwrap();
 
         let recovered = DurablePipeline::recover(cfg.clone(), Vec::new(), dcfg.clone()).unwrap();
         let m = recovered.metrics().snapshot();
         assert_eq!(m.wal_torn_records, 1);
-        assert_eq!(m.offered, 40, "only the valid prefix survives");
-        assert_eq!(m.wal_records, 40);
+        assert_eq!(m.offered, 32, "only the valid prefix survives");
+        assert_eq!(m.wal_records, 32);
         assert!(m.fully_accounted());
         // The file was healed back to the valid prefix.
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
-            (SEG_HEADER_LEN + 40 * RECORD_LEN) as u64
-        );
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), ends[1] as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A corrupted byte inside a record fails its checksum and truncates
-    /// the view there — a bad record never half-applies.
+    /// A corrupted byte inside a frame fails its checksum and truncates
+    /// the view there — a bad frame never half-applies.
     #[test]
     fn checksum_mismatch_truncates_at_last_valid_record() {
         let dir = tmp_dir("crc");
@@ -2104,15 +2394,16 @@ mod tests {
         drop(p);
 
         let path = segment_files(&dir, 0).unwrap()[0].1.clone();
-        // Flip one payload byte of record 20 (0-based).
+        // Flip one byte in the middle of the second frame (records 16–31
+        // of 16-report batches): only the first frame's records survive.
         let mut bytes = std::fs::read(&path).unwrap();
-        let victim = SEG_HEADER_LEN + 20 * RECORD_LEN + 8 + 5;
-        bytes[victim] ^= 0xFF;
+        let ends = frame_ends(&bytes);
+        bytes[(ends[0] + ends[1]) / 2] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
 
         let recovered = DurablePipeline::recover(cfg.clone(), Vec::new(), dcfg.clone()).unwrap();
         let m = recovered.metrics().snapshot();
-        assert_eq!(m.offered, 20);
+        assert_eq!(m.offered, 16);
         assert_eq!(m.wal_torn_records, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2137,13 +2428,15 @@ mod tests {
             .expect("snapshot written");
         assert!(coverage >= 60, "cadence of 30 over 100 reports snapshots");
 
-        // Truncate the (single) segment far below the snapshot coverage.
+        // Truncate the (single) segment far below the snapshot coverage:
+        // its first frame of 16 records only.
         let path = segment_files(&dir, 0).unwrap()[0].1.clone();
+        let first_frame_end = frame_ends(&std::fs::read(&path).unwrap())[0];
         std::fs::OpenOptions::new()
             .write(true)
             .open(&path)
             .unwrap()
-            .set_len((SEG_HEADER_LEN + 10 * RECORD_LEN) as u64)
+            .set_len(first_frame_end as u64)
             .unwrap();
 
         let recovered = DurablePipeline::recover(cfg.clone(), Vec::new(), dcfg.clone()).unwrap();
@@ -2153,6 +2446,53 @@ mod tests {
         assert_eq!(m.durability_gap(), 0);
         assert!(m.fully_accounted());
         assert!(m.durably_accounted());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A segment of the v1 format (one 48-byte record per report) is
+    /// refused with the typed "bad segment magic" error: no v1 reader is
+    /// kept, and replaying v1 bytes as frames would misparse them.
+    #[test]
+    fn v1_segment_is_refused() {
+        let dir = tmp_dir("v1");
+        let cfg = config(1);
+        let dcfg = DurableConfig::new(dir.clone());
+        let mut p = DurablePipeline::create(cfg.clone(), Vec::new(), dcfg.clone()).unwrap();
+        let fingerprint = p.fingerprint();
+        p.run(flat_stream(1, 10), None).unwrap();
+        drop(p);
+        for (_, path) in segment_files(&dir, 0).unwrap() {
+            std::fs::remove_file(path).unwrap();
+        }
+        // A v1 segment: its header, then one record (u32 length 40, CRC32,
+        // then seq, gateway, device, minute and both counters).
+        let mut v1 = encode_seg_header(0, fingerprint, 1, 0).to_vec();
+        v1[0..8].copy_from_slice(b"WTTSSEG1");
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 1);
+        put_u64(&mut payload, 1);
+        put_u32(&mut payload, 0);
+        put_u32(&mut payload, 0);
+        put_u64(&mut payload, 10);
+        put_u64(&mut payload, 5);
+        put_u32(&mut v1, payload.len() as u32);
+        put_u32(&mut v1, crc32(&payload));
+        v1.extend_from_slice(&payload);
+        let path = seg_path(&dir, 0, 1);
+        std::fs::write(&path, &v1).unwrap();
+
+        match DurablePipeline::recover(cfg, Vec::new(), dcfg) {
+            Err(DurableError::Io(e)) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                assert!(e.to_string().contains("bad segment magic"), "{e}");
+            }
+            Ok(_) => panic!("a v1 segment must be refused"),
+            Err(e) => panic!("expected an Io error, got {e:?}"),
+        }
+        assert!(matches!(
+            segment_last_seq(&path),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2215,29 +2555,24 @@ mod tests {
     #[test]
     fn segments_rotate_and_compact_bounded_disk() {
         let dir = tmp_dir("rotate");
-        let cfg = config(1);
-        let seg_bytes = (SEG_HEADER_LEN + 10 * RECORD_LEN) as u64;
-        let dcfg = DurableConfig {
-            snapshot_every_reports: 25,
-            segment_bytes: seg_bytes,
-            ..DurableConfig::new(dir.clone())
-        };
+        let (cfg, dcfg) = rotating(&dir, 25);
+        let seg_bytes = dcfg.segment_bytes;
         let mut p = DurablePipeline::create(cfg.clone(), Vec::new(), dcfg.clone()).unwrap();
         let end = p.run(flat_stream(7, 200), None).unwrap();
         assert_eq!(end.durability(), Some(Durability::Durable));
-        let fingerprint = p.fingerprint();
+
         let m = p.metrics().snapshot();
         drop(p);
 
-        assert!(m.wal_segments_created >= 15, "10-record segments rotate");
+        assert!(m.wal_segments_created >= 15, "two-frame segments rotate");
         assert!(m.wal_segments_compacted >= 10, "covered segments die");
         assert!(m.snapshots_written >= 3);
 
         let usage = wal_disk_usage(&dir).unwrap();
         assert!(
             usage <= seg_bytes * 6,
-            "disk stays bounded: {usage} bytes vs {} written",
-            200 * RECORD_LEN
+            "disk stays bounded: {usage} bytes vs {} segments written",
+            m.wal_segments_created
         );
         let coverage = snapshot_coverage(&dir, 0).unwrap().expect("snapshot");
         assert!(coverage >= 150);
@@ -2246,8 +2581,7 @@ mod tests {
         let segs = segment_files(&dir, 0).unwrap();
         assert!(!segs.is_empty());
         for (_, path) in &segs[..segs.len() - 1] {
-            let scan = scan_segment(&StdFs, path, 0, fingerprint).unwrap();
-            let last = scan.records.last().map(|(seq, _)| *seq).unwrap_or(0);
+            let last = segment_last_seq(path).unwrap().unwrap_or(0);
             assert!(
                 last > coverage,
                 "covered segment {} survived compaction",
@@ -2324,12 +2658,7 @@ mod tests {
     #[test]
     fn dead_snapshot_after_compaction_is_a_counted_gap() {
         let dir = tmp_dir("dead-snap");
-        let cfg = config(1);
-        let dcfg = DurableConfig {
-            snapshot_every_reports: 25,
-            segment_bytes: (SEG_HEADER_LEN + 10 * RECORD_LEN) as u64,
-            ..DurableConfig::new(dir.clone())
-        };
+        let (cfg, dcfg) = rotating(&dir, 25);
         let mut p = DurablePipeline::create(cfg.clone(), Vec::new(), dcfg.clone()).unwrap();
         p.run(flat_stream(8, 100), None).unwrap();
         drop(p);
@@ -2363,8 +2692,8 @@ mod tests {
         let dir = tmp_dir("liar");
         let cfg = config(1);
         // Single shard op sequence: 0 = header write, 1 = first flush
-        // append (64 KiB threshold at 1366 records), 2 = its honest sync,
-        // 3 = final flush append, 4 = the lying sync.
+        // append (the frame that crosses the 64 KiB threshold), 2 = its
+        // honest sync, 3 = final flush append, 4 = the lying sync.
         let faulty = Arc::new(FaultyFs::new(&[FaultSpec {
             op: 4,
             kind: FaultKind::SyncLies,
@@ -2375,20 +2704,37 @@ mod tests {
             fs: faulty.clone(),
             ..DurableConfig::new(dir.clone())
         };
+        let stream = flat_stream(5, 10_000);
         let mut p = DurablePipeline::create(cfg.clone(), Vec::new(), dcfg.clone()).unwrap();
-        let end = p.run(flat_stream(5, 2_000), None).unwrap();
+        let end = p.run(stream.iter().copied(), None).unwrap();
         // The lie is invisible live: the run believes it is durable.
         assert_eq!(end.durability(), Some(Durability::Durable));
         drop(p);
 
         faulty.machine_crash().unwrap();
 
-        let flush_at = WAL_FLUSH_BYTES.div_ceil(RECORD_LEN) as u64;
+        // The first flush carries the whole frames (one per batch, seqs from
+        // 1) up to the one that fills the buffer past the threshold.
+        let mut buf = Vec::new();
+        let mut flush_at = 0u64;
+        for chunk in stream.chunks(cfg.batch_reports) {
+            let batch: Vec<(u64, IngestReport)> =
+                (flush_at + 1..).zip(chunk.iter().copied()).collect();
+            encode_frame(&mut buf, &batch);
+            flush_at += batch.len() as u64;
+            if buf.len() >= WAL_FLUSH_BYTES {
+                break;
+            }
+        }
+        assert!(
+            flush_at < stream.len() as u64,
+            "the stream outgrows one flush"
+        );
         let recovered = DurablePipeline::recover(cfg, Vec::new(), dcfg).unwrap();
         let m = recovered.metrics().snapshot();
         assert_eq!(m.offered, flush_at, "the honestly-synced prefix survives");
         assert_eq!(m.wal_records, flush_at);
-        assert_eq!(m.wal_torn_records, 0, "truncation lands on a record edge");
+        assert_eq!(m.wal_torn_records, 0, "truncation lands on a frame edge");
         assert!(m.fully_accounted());
         assert!(m.durably_accounted());
         let _ = std::fs::remove_dir_all(&dir);

@@ -687,6 +687,13 @@ impl<T> BoundedQueue<T> {
 
 #[derive(Debug, Default)]
 struct DeviceState {
+    /// The device's id (a lane keeps its states in slots, not by id).
+    id: u32,
+    /// The slot whose report followed this device's the last time: a
+    /// collector delivers a gateway's devices in the same order minute
+    /// after minute, so this predicts the next lookup. A cache only:
+    /// snapshots do not carry it.
+    next: u32,
     /// Last accepted report (timestamp + both cumulative counters).
     last: Option<(Minute, u64, u64)>,
     /// Tentative baseline from an uncorroborated future jump.
@@ -826,19 +833,29 @@ impl DeviceState {
 /// One minute of one gateway still open for straggler contributions.
 struct PendingMinute {
     minute: u32,
-    /// `(device, byte delta)` contributions; devices absent this minute
-    /// simply do not appear (missing, pairwise-complete semantics).
+    /// `(device slot, byte delta)` contributions in arrival order; devices
+    /// absent this minute simply do not appear (missing, pairwise-complete
+    /// semantics).
     contributions: Vec<(u32, f64)>,
 }
 
 /// All streaming state of one gateway, owned exclusively by one shard.
 pub(crate) struct GatewayLane {
     gateway: u64,
-    /// Ordered by device id: O(log n) lookups on hostile ids without a
-    /// hasher, and snapshots and rankings iterate in a fixed order.
-    devices: BTreeMap<u32, DeviceState>,
+    /// Device states in dense slots, numbered in arrival order.
+    devices: Vec<DeviceState>,
+    /// Device id → slot. Ordered by id: O(log n) lookups on hostile ids
+    /// without a hasher, and snapshots and rankings walk devices in id
+    /// order through it, so nothing observable depends on slot numbers.
+    slots: BTreeMap<u32, u32>,
     /// Sparse, minute-sorted ring of not-yet-finalized minutes.
     pending: VecDeque<PendingMinute>,
+    /// Emptied contribution buffers of finalized minutes, reused by the
+    /// next minutes to open.
+    spare: Vec<Vec<(u32, f64)>>,
+    /// The slot of the last report's device, whose `next` predicts the
+    /// coming report's.
+    last_slot: u32,
     /// First minute that may still accept contributions.
     watermark: u32,
     /// Highest minute accepted so far (the lane's stream clock).
@@ -856,8 +873,11 @@ impl GatewayLane {
     fn new(gateway: u64, config: &IngestConfig, n_templates: usize) -> GatewayLane {
         GatewayLane {
             gateway,
-            devices: BTreeMap::new(),
+            devices: Vec::new(),
+            slots: BTreeMap::new(),
             pending: VecDeque::new(),
+            spare: Vec::new(),
+            last_slot: 0,
             watermark: 0,
             max_seen: 0,
             accumulator: WindowAccumulator::new(config.window, config.bin_minutes),
@@ -868,6 +888,45 @@ impl GatewayLane {
             sealed: 0,
             reports: 0,
         }
+    }
+
+    /// The slot of `device`, opening the next one on its first report. The
+    /// previous report's device predicts it; a miss (checked by id) looks
+    /// it up by id and corrects the prediction.
+    fn slot(&mut self, device: u32) -> usize {
+        let last = self.last_slot as usize;
+        let predicted = self.devices.get(last).map(|d| d.next as usize);
+        let slot = match predicted {
+            Some(p) if self.devices.get(p).is_some_and(|d| d.id == device) => p,
+            _ => {
+                let slot = self.slot_by_id(device);
+                if let Some(d) = self.devices.get_mut(last) {
+                    d.next = slot as u32;
+                }
+                slot
+            }
+        };
+        self.last_slot = slot as u32;
+        slot
+    }
+
+    fn slot_by_id(&mut self, device: u32) -> usize {
+        let next = self.devices.len() as u32;
+        let slot = *self.slots.entry(device).or_insert(next);
+        if slot == next {
+            self.devices.push(DeviceState {
+                id: device,
+                ..DeviceState::default()
+            });
+        }
+        slot as usize
+    }
+
+    /// Device states in id order.
+    fn devices_by_id(&self) -> impl Iterator<Item = &DeviceState> {
+        self.slots
+            .values()
+            .map(|&slot| &self.devices[slot as usize])
     }
 
     /// Processes one report, recording both its own outcome and the
@@ -882,8 +941,8 @@ impl GatewayLane {
         counts: &mut ShardCounts,
     ) {
         self.reports += 1;
-        let device = self.devices.entry(r.device).or_default();
-        let step = device.decode(r, config.max_future_jump);
+        let slot = self.slot(r.device);
+        let step = self.devices[slot].decode(r, config.max_future_jump);
         if let Some(outcome) = step.resolved_suspect {
             counts.count(outcome);
         }
@@ -914,7 +973,7 @@ impl GatewayLane {
                     counts.count(IngestOutcome::Dropped(DropReason::Late));
                     return;
                 }
-                self.add_contribution(r.at.0, r.device, bytes);
+                self.add_contribution(r.at.0, slot as u32, bytes);
                 self.advance_clock(r.at.0, config, templates, counts);
                 counts.count(IngestOutcome::Ingested);
             }
@@ -922,26 +981,23 @@ impl GatewayLane {
     }
 
     /// Inserts a contribution into the sparse minute ring, keeping it
-    /// minute-sorted. The common case (the newest minute) is O(1).
-    fn add_contribution(&mut self, minute: u32, device: u32, bytes: f64) {
-        let pos = self
-            .pending
-            .iter()
-            .rposition(|p| p.minute <= minute)
-            .map(|i| (i, self.pending[i].minute == minute));
+    /// minute-sorted. The common case (the newest minute) is O(1), and a
+    /// new minute takes a spare buffer before it allocates.
+    fn add_contribution(&mut self, minute: u32, slot: u32, bytes: f64) {
+        let pos = self.pending.iter().rposition(|p| p.minute <= minute);
+        if let Some(i) = pos.filter(|&i| self.pending[i].minute == minute) {
+            self.pending[i].contributions.push((slot, bytes));
+            return;
+        }
+        let mut contributions = self.spare.pop().unwrap_or_default();
+        contributions.push((slot, bytes));
+        let pm = PendingMinute {
+            minute,
+            contributions,
+        };
         match pos {
-            Some((i, true)) => self.pending[i].contributions.push((device, bytes)),
-            Some((i, false)) => self.pending.insert(
-                i + 1,
-                PendingMinute {
-                    minute,
-                    contributions: vec![(device, bytes)],
-                },
-            ),
-            None => self.pending.push_front(PendingMinute {
-                minute,
-                contributions: vec![(device, bytes)],
-            }),
+            Some(i) => self.pending.insert(i + 1, pm),
+            None => self.pending.push_front(pm),
         }
     }
 
@@ -970,7 +1026,7 @@ impl GatewayLane {
     /// dominance tracker pairs its delta with the total.
     fn finalize_minute(
         &mut self,
-        pm: PendingMinute,
+        mut pm: PendingMinute,
         config: &IngestConfig,
         templates: &[MotifTemplate],
         counts: &mut ShardCounts,
@@ -990,11 +1046,11 @@ impl GatewayLane {
         for window in &completed {
             self.observe_window(&window.values, false, config, templates, counts);
         }
-        for (device, bytes) in pm.contributions {
-            if let Some(state) = self.devices.get_mut(&device) {
-                state.dominance.push(bytes, total);
-            }
+        for &(slot, bytes) in &pm.contributions {
+            self.devices[slot as usize].dominance.push(bytes, total);
         }
+        pm.contributions.clear();
+        self.spare.push(pm.contributions);
     }
 
     fn observe_window(
@@ -1040,7 +1096,7 @@ impl GatewayLane {
             self.finalize_minute(pm, config, templates, counts);
         }
         // Suspects never corroborated by end of stream were corrupt.
-        for state in self.devices.values_mut() {
+        for state in &mut self.devices {
             if state.suspect.take().is_some() {
                 counts.count(IngestOutcome::Dropped(DropReason::FutureJump));
             }
@@ -1050,11 +1106,10 @@ impl GatewayLane {
             self.observe_window(&partial.values.clone(), true, config, templates, counts);
         }
         let hits: Vec<(usize, f64)> = self
-            .devices
-            .iter()
-            .filter_map(|(&device, state)| {
+            .devices_by_id()
+            .filter_map(|state| {
                 let c = state.dominance.correlation()?;
-                (c > config.dominance_phi).then_some((device as usize, c))
+                (c > config.dominance_phi).then_some((state.id as usize, c))
             })
             .collect();
         GatewaySummary {
@@ -1080,8 +1135,15 @@ impl GatewayLane {
 /// snapshot captures and what WAL replay rebuilds — the worker loop owns
 /// one and nothing else mutates between reports.
 pub(crate) struct ShardState {
-    /// Ordered by gateway id, like [`GatewayLane::devices`].
-    pub(crate) lanes: BTreeMap<u64, GatewayLane>,
+    /// Gateway lanes in dense slots, numbered in arrival order like
+    /// [`GatewayLane::devices`].
+    lanes: Vec<GatewayLane>,
+    /// Gateway id → lane slot, ordered so snapshots walk lanes by gateway.
+    lane_slots: BTreeMap<u64, u32>,
+    /// The gateway and slot of the last lane a report went to. A collector
+    /// delivers a gateway's reports for one minute together, so most
+    /// reports skip the lookup. A cache only: snapshots do not carry it.
+    last_lane: Option<(u64, u32)>,
     pub(crate) counts: ShardCounts,
     /// Global sequence number of the last report this shard consumed.
     pub(crate) last_seq: u64,
@@ -1093,7 +1155,9 @@ pub(crate) struct ShardState {
 impl ShardState {
     pub(crate) fn new() -> ShardState {
         ShardState {
-            lanes: BTreeMap::new(),
+            lanes: Vec::new(),
+            lane_slots: BTreeMap::new(),
+            last_lane: None,
             counts: ShardCounts::default(),
             last_seq: 0,
             processed: 0,
@@ -1113,11 +1177,35 @@ impl ShardState {
         debug_assert!(seq > self.last_seq, "per-shard seqs strictly increase");
         self.last_seq = seq;
         self.processed += 1;
-        let lane = self
-            .lanes
-            .entry(report.gateway)
-            .or_insert_with(|| GatewayLane::new(report.gateway, config, templates.len()));
-        lane.ingest(report, config, templates, &mut self.counts);
+        let slot = match self.last_lane {
+            Some((gateway, slot)) if gateway == report.gateway => slot,
+            _ => {
+                let slot = self.lane_slot(report.gateway, || {
+                    GatewayLane::new(report.gateway, config, templates.len())
+                });
+                self.last_lane = Some((report.gateway, slot));
+                slot
+            }
+        };
+        self.lanes[slot as usize].ingest(report, config, templates, &mut self.counts);
+    }
+
+    /// The slot of `gateway`'s lane, opening the next one with `open` on
+    /// the gateway's first report.
+    fn lane_slot(&mut self, gateway: u64, open: impl FnOnce() -> GatewayLane) -> u32 {
+        let next = self.lanes.len() as u32;
+        let slot = *self.lane_slots.entry(gateway).or_insert(next);
+        if slot == next {
+            self.lanes.push(open());
+        }
+        slot
+    }
+
+    /// Lanes in gateway order.
+    fn lanes_by_gateway(&self) -> impl ExactSizeIterator<Item = &GatewayLane> {
+        self.lane_slots
+            .values()
+            .map(|&slot| &self.lanes[slot as usize])
     }
 
     /// End of stream: finishes every lane, folding the final outcomes into
@@ -1128,9 +1216,11 @@ impl ShardState {
         templates: &[MotifTemplate],
     ) -> (Vec<GatewaySummary>, ShardCounts) {
         let mut counts = self.counts;
+        // Slot order: the outcomes add up the same in any order, and the
+        // pipeline sorts the summaries by gateway.
         let summaries = self
             .lanes
-            .into_values()
+            .into_iter()
             .map(|lane| lane.finish(config, templates, &mut counts))
             .collect();
         (summaries, counts)

@@ -94,9 +94,9 @@ pub use engine::{
     sketch_series, CondensedMatrix, CorMatrixConfig, PruneConfig, PruneStats, SparseCorMatrix,
 };
 pub use ingest::durable::{
-    segment_files, snapshot_coverage, wal_disk_usage, Durability, DurableConfig, DurableError,
-    DurablePipeline, DurableRun, FaultKind, FaultSpec, FaultyFs, IoPolicy, KillMode, KillPoint,
-    LockError, StdFs, WalFs, LOCK_FILE,
+    segment_files, segment_last_seq, snapshot_coverage, wal_disk_usage, Durability, DurableConfig,
+    DurableError, DurablePipeline, DurableRun, FaultKind, FaultSpec, FaultyFs, IoPolicy, KillMode,
+    KillPoint, LockError, StdFs, WalFs, LOCK_FILE,
 };
 pub use ingest::{
     DropReason, GatewaySummary, IngestConfig, IngestMetrics, IngestOutcome, IngestPipeline,

@@ -9,9 +9,10 @@
 //! then repeats the exercise at arbitrary kill points over arbitrary
 //! report streams.
 
+mod common;
+
+use common::{chaos, fleet_reports, gateway_streams, merge_by_minute};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,48 +21,12 @@ use wtts_core::ingest::{IngestConfig, IngestReport};
 use wtts_core::motif::{discover_motifs, MotifConfig};
 use wtts_core::streaming::MotifTemplate;
 use wtts_core::{
-    segment_files, snapshot_coverage, Durability, DurableConfig, DurableError, DurablePipeline,
-    DurableRun, FaultKind, FaultSpec, FaultyFs, IngestSummary, IoPolicy, KillPoint, LockError,
-    LOCK_FILE,
+    segment_files, segment_last_seq, snapshot_coverage, Durability, DurableConfig, DurableError,
+    DurablePipeline, DurableRun, FaultKind, FaultSpec, FaultyFs, IngestSummary, IoPolicy,
+    KillPoint, LockError, LOCK_FILE,
 };
-use wtts_gwsim::{
-    fault_schedule, gateway_reports, kill_points, ChannelConfig, FaultOp, Fleet, FleetConfig,
-    TaggedReport,
-};
+use wtts_gwsim::{fault_schedule, kill_points, FaultOp, Fleet, FleetConfig};
 use wtts_timeseries::{aggregate, daily_windows, Granularity, Minute};
-
-fn envelope(t: &TaggedReport) -> IngestReport {
-    IngestReport {
-        gateway: t.gateway as u64,
-        device: t.device as u32,
-        at: t.report.at,
-        cum_in: t.report.cum_in,
-        cum_out: t.report.cum_out,
-    }
-}
-
-fn chaos() -> ChannelConfig {
-    ChannelConfig {
-        loss: 0.02,
-        duplication: 0.01,
-        reorder: 0.01,
-    }
-}
-
-fn fleet_reports(n_gateways: usize) -> Vec<IngestReport> {
-    let fleet = Fleet::new(FleetConfig {
-        n_gateways,
-        weeks: 1,
-        ..FleetConfig::default()
-    });
-    let mut out = Vec::new();
-    for id in 0..n_gateways {
-        let gw = fleet.gateway(id);
-        let mut rng = SmallRng::seed_from_u64(0xC0FFEE + id as u64);
-        out.extend(gateway_reports(&gw, chaos(), &mut rng).iter().map(envelope));
-    }
-    out
-}
 
 /// A handful of daily motif templates from a small training fleet, so the
 /// online matcher (and hence the state digest) has real work to do.
@@ -150,44 +115,35 @@ fn live_run(
     }
 }
 
-/// The headline acceptance scenario: crash the fleet-week ingest at three
-/// seeded kill points, recover after each, finish the stream, and demand
-/// results bit-identical to never having crashed at all.
-#[test]
-fn killed_mid_week_recovery_is_bit_identical() {
-    let reports = fleet_reports(8);
-    assert!(reports.len() > 100_000, "expected a substantial stream");
-    let templates = templates();
-    assert!(templates.len() >= 2, "training produced no templates");
-    let config = config(3);
-    let snapshot_every = 10_000;
-    let (live_summary, live_digest) = live_run(&reports, &config, &templates, snapshot_every);
+/// Crashes a durable run over `reports` at each of three seeded kill
+/// points, recovering before every leg after the first, then recovers once
+/// more and finishes the stream; asserts that the finished run reproduces
+/// the uninterrupted one bit for bit.
+fn crash_three_times_and_finish(
+    tag: &str,
+    reports: &[IngestReport],
+    config: &IngestConfig,
+    templates: &[MotifTemplate],
+    snapshot_every: u64,
+    seed: u64,
+) {
+    let (live_summary, live_digest) = live_run(reports, config, templates, snapshot_every);
     assert!(live_summary.metrics.windows_matched > 0, "templates unused");
 
     // Each kill threshold counts reports offered *within its leg*, and a
     // leg offers at most its threshold — so with three thresholds of at
     // most a quarter-stream each, the final leg always has work left.
-    let schedule = kill_points(0xD15C, reports.len() as u64 / 4, 3);
+    let schedule = kill_points(seed, reports.len() as u64 / 4, 3);
     assert_eq!(schedule.len(), 3, "stream large enough for 3 points");
 
-    let dir = scratch("headline");
-    for (leg, &kill_after) in schedule.iter().enumerate() {
-        let mut p = if leg == 0 {
-            DurablePipeline::create(
-                config.clone(),
-                templates.clone(),
-                durable_cfg(&dir, snapshot_every),
-            )
-            .expect("create")
+    let dir = scratch(tag);
+    let open = |leg: usize| {
+        let durable = durable_cfg(&dir, snapshot_every);
+        if leg == 0 {
+            DurablePipeline::create(config.clone(), templates.to_vec(), durable).expect("create")
         } else {
-            DurablePipeline::recover(
-                config.clone(),
-                templates.clone(),
-                durable_cfg(&dir, snapshot_every),
-            )
-            .expect("recover")
-        };
-        if leg > 0 {
+            let p = DurablePipeline::recover(config.clone(), templates.to_vec(), durable)
+                .expect("recover");
             let m = p.metrics().snapshot();
             assert_eq!(m.recoveries, 1, "leg {leg}: one recovery on its books");
             // The prefix may legitimately be empty after an early kill:
@@ -196,8 +152,11 @@ fn killed_mid_week_recovery_is_bit_identical() {
                 m.durably_accounted(),
                 "leg {leg}: replayed books must balance"
             );
+            p
         }
-        let run = p
+    };
+    for (leg, &kill_after) in schedule.iter().enumerate() {
+        let run = open(leg)
             .run(reports.iter().copied(), Some(KillPoint::after(kill_after)))
             .expect("killed leg");
         assert!(
@@ -207,12 +166,7 @@ fn killed_mid_week_recovery_is_bit_identical() {
     }
 
     // The final recovery finishes the stream.
-    let mut p = DurablePipeline::recover(
-        config.clone(),
-        templates.clone(),
-        durable_cfg(&dir, snapshot_every),
-    )
-    .expect("final recover");
+    let mut p = open(schedule.len());
     assert!(
         p.metrics().snapshot().wal_records > 0,
         "three legs later the durable prefix must be non-empty"
@@ -246,11 +200,41 @@ fn killed_mid_week_recovery_is_bit_identical() {
     assert!(m.snapshots_written > 0, "snapshot cadence never fired");
 }
 
+/// The headline acceptance scenario: crash the fleet-week ingest at three
+/// seeded kill points, recover after each, finish the stream, and demand
+/// results bit-identical to never having crashed at all.
+#[test]
+fn killed_mid_week_recovery_is_bit_identical() {
+    let reports = fleet_reports(8, chaos());
+    assert!(reports.len() > 100_000, "expected a substantial stream");
+    let templates = templates();
+    assert!(templates.len() >= 2, "training produced no templates");
+    crash_three_times_and_finish("headline", &reports, &config(3), &templates, 10_000, 0xD15C);
+}
+
+/// The same drill on the order a collector delivers, the gateways
+/// interleaved by minute: every batch holds several lanes, recovered lanes
+/// renumber their device slots, and snapshots land mid-minute across the
+/// fleet. The recovered state digest must still equal the live run's.
+#[test]
+fn interleaved_stream_recovery_is_bit_identical() {
+    let reports = merge_by_minute(&gateway_streams(6, chaos()));
+    let templates = templates();
+    crash_three_times_and_finish(
+        "interleaved",
+        &reports,
+        &config(2),
+        &templates,
+        7_000,
+        0x1EAF,
+    );
+}
+
 /// After a crash, feeding only the stream suffix from `resume_seq()` is
 /// equivalent to re-feeding everything.
 #[test]
 fn suffix_resume_from_resume_seq_is_exact() {
-    let reports = fleet_reports(3);
+    let reports = fleet_reports(3, chaos());
     let templates = templates();
     let config = config(2);
     let (live_summary, live_digest) = live_run(&reports, &config, &templates, 5_000);
@@ -291,12 +275,12 @@ fn suffix_resume_from_resume_seq_is_exact() {
     }
 }
 
-/// A crash that tears the WAL tail (a half-written record) is healed by
-/// recovery: the torn record is counted, truncated, and the finished run
+/// A crash that tears the WAL tail (a half-written frame) is healed by
+/// recovery: the torn frame is counted, truncated, and the finished run
 /// still matches the uninterrupted one exactly.
 #[test]
 fn torn_wal_tail_heals_and_finishes_identically() {
-    let reports = fleet_reports(2);
+    let reports = fleet_reports(2, chaos());
     let config = config(2);
     let (live_summary, live_digest) = live_run(&reports, &config, &[], 2_000);
 
@@ -311,22 +295,23 @@ fn torn_wal_tail_heals_and_finishes_identically() {
         .expect("killed run");
     assert!(matches!(run, DurableRun::Killed));
 
-    // Tear shard 0's WAL: a record header promising more bytes than exist,
-    // appended to the newest segment.
+    // Tear shard 0's WAL: a frame whose length prefix promises more bytes
+    // than exist, appended to the newest segment.
     let segs = segment_files(&dir, 0).expect("list shard 0 segments");
     let (_, wal0) = segs.last().expect("shard 0 has a segment");
     let mut f = std::fs::OpenOptions::new()
         .append(true)
         .open(wal0)
         .expect("open wal");
-    f.write_all(&48u32.to_le_bytes()).expect("torn header");
-    f.write_all(&[0xAB; 7]).expect("torn partial payload");
+    f.write_all(&4096u32.to_le_bytes()).expect("torn length");
+    f.write_all(&[0xAB; 4]).expect("torn checksum");
+    f.write_all(&[0xCD; 19]).expect("torn partial body");
     drop(f);
 
     let mut p = DurablePipeline::recover(config.clone(), Vec::new(), durable_cfg(&dir, 2_000))
         .expect("recover over torn tail");
     let m = p.metrics().snapshot();
-    assert_eq!(m.wal_torn_records, 1, "the torn record must be counted");
+    assert_eq!(m.wal_torn_records, 1, "the torn frame must be counted");
     assert!(m.durably_accounted());
     let run = p.run(reports.iter().copied(), None).expect("final run");
     std::fs::remove_dir_all(&dir).ok();
@@ -428,7 +413,7 @@ proptest! {
 /// recovers bit-identically under `takeover`.
 #[test]
 fn stale_lock_requires_takeover_and_recovers_exactly() {
-    let reports = fleet_reports(2);
+    let reports = fleet_reports(2, chaos());
     let config = config(2);
     let (live_summary, live_digest) = live_run(&reports, &config, &[], 2_000);
 
@@ -563,7 +548,7 @@ proptest! {
 
         // Compaction invariant: every surviving sealed segment (all but
         // the newest per shard) holds a record past the live snapshot's
-        // coverage. Record layout: u32 len + u32 crc + payload, seq first.
+        // coverage.
         for shard in 0..config.shards {
             let coverage = match snapshot_coverage(&dir, shard) {
                 Ok(Some(c)) => c,
@@ -574,14 +559,11 @@ proptest! {
                 continue;
             }
             for (_, path) in &segs[..segs.len() - 1] {
-                let bytes = std::fs::read(path).expect("read segment");
-                let whole = (bytes.len().saturating_sub(36)) / 48;
-                prop_assert!(whole > 0, "sealed segments are never empty shells");
-                let off = 36 + (whole - 1) * 48 + 8;
-                let last_seq = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+                let last_seq = segment_last_seq(path).expect("read segment");
+                prop_assert!(last_seq.is_some(), "sealed segments are never empty shells");
                 prop_assert!(
-                    last_seq > coverage,
-                    "covered segment {} survived compaction (last {} <= {})",
+                    last_seq > Some(coverage),
+                    "covered segment {} survived compaction (last {:?} <= {})",
                     path.display(), last_seq, coverage
                 );
             }

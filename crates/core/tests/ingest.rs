@@ -6,47 +6,13 @@
 //! every dropped report accounted for and results independent of the shard
 //! count.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+mod common;
+
+use common::{chaos, fleet_reports, gateway_streams, merge_by_minute};
 use wtts_core::estimate_tau;
-use wtts_core::ingest::{IngestConfig, IngestPipeline, IngestReport};
-use wtts_gwsim::{gateway_reports, ChannelConfig, Fleet, FleetConfig, TaggedReport};
+use wtts_core::ingest::{IngestConfig, IngestPipeline, MetricsSnapshot};
+use wtts_gwsim::ChannelConfig;
 use wtts_timeseries::{CounterTrace, Minute, MINUTES_PER_WEEK};
-
-fn envelope(t: &TaggedReport) -> IngestReport {
-    IngestReport {
-        gateway: t.gateway as u64,
-        device: t.device as u32,
-        at: t.report.at,
-        cum_in: t.report.cum_in,
-        cum_out: t.report.cum_out,
-    }
-}
-
-/// A channel with everything wrong at once: loss (→ gaps and reset-spanning
-/// resets), duplication (→ duplicate drops) and reordering (→ late drops).
-fn chaos() -> ChannelConfig {
-    ChannelConfig {
-        loss: 0.02,
-        duplication: 0.01,
-        reorder: 0.01,
-    }
-}
-
-fn fleet_reports(n_gateways: usize, channel: ChannelConfig) -> Vec<IngestReport> {
-    let fleet = Fleet::new(FleetConfig {
-        n_gateways,
-        weeks: 1,
-        ..FleetConfig::default()
-    });
-    let mut out = Vec::new();
-    for id in 0..n_gateways {
-        let gw = fleet.gateway(id);
-        let mut rng = SmallRng::seed_from_u64(0xC0FFEE + id as u64);
-        out.extend(gateway_reports(&gw, channel, &mut rng).iter().map(envelope));
-    }
-    out
-}
 
 fn config(shards: usize) -> IngestConfig {
     IngestConfig {
@@ -147,6 +113,57 @@ fn chaotic_stream_is_shard_invariant() {
             many.metrics.dropped_duplicate
         );
         assert_eq!(one.metrics.windows_sealed, many.metrics.windows_sealed);
+    }
+}
+
+/// The books two runs over the same reports must share whatever their
+/// shard count: every counter of the replay-invariant projection, without
+/// the per-shard gauges.
+fn books(m: &MetricsSnapshot) -> MetricsSnapshot {
+    MetricsSnapshot {
+        per_shard: Vec::new(),
+        ..m.replay_invariant_core()
+    }
+}
+
+/// A collector delivers the fleet interleaved by minute, so a shard
+/// switches gateway lanes on almost every report and grows device slots in
+/// many lanes at once; the fleet generator hands over whole gateways one
+/// after another. Each lane sees its own reports in the same order either
+/// way, so the summaries and books must be identical at any shard count.
+#[test]
+fn arrival_interleaving_is_invariant() {
+    let streams = gateway_streams(12, chaos());
+    let gateway_major = streams.concat();
+    let interleaved = merge_by_minute(&streams);
+    assert_eq!(interleaved.len(), gateway_major.len());
+    let switches = |s: &[wtts_core::ingest::IngestReport]| {
+        s.windows(2)
+            .filter(|p| p[0].gateway != p[1].gateway)
+            .count()
+    };
+    assert!(switches(&gateway_major) < 12);
+    assert!(
+        switches(&interleaved) > interleaved.len() / 20,
+        "the merge must interleave the gateways"
+    );
+
+    let reference = IngestPipeline::new(config(1), Vec::new()).run(gateway_major.clone());
+    assert!(reference.metrics.dropped() > 0, "chaos must cause drops");
+    for shards in [1, 2, 4] {
+        for (order, stream) in [
+            ("gateway-major", &gateway_major),
+            ("interleaved", &interleaved),
+        ] {
+            let run = IngestPipeline::new(config(shards), Vec::new()).run(stream.iter().copied());
+            assert_eq!(
+                run.gateways, reference.gateways,
+                "{order} at {shards} shards"
+            );
+            assert_eq!(run.support, reference.support, "{order} at {shards} shards");
+            assert_eq!(books(&run.metrics), books(&reference.metrics));
+            assert_eq!(run.metrics.check_laws(), Vec::<String>::new());
+        }
     }
 }
 

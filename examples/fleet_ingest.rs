@@ -53,19 +53,9 @@ use wtts::core::{
 };
 use wtts::gwsim::{
     fault_schedule, gateway_reports_seeded, ChannelConfig, FaultOp, Fleet, FleetConfig,
-    TaggedReport,
 };
 use wtts::timeseries::{aggregate, daily_windows, Granularity};
-
-fn envelope(t: &TaggedReport) -> IngestReport {
-    IngestReport {
-        gateway: t.gateway as u64,
-        device: t.device as u32,
-        at: t.report.at,
-        cum_in: t.report.cum_in,
-        cum_out: t.report.cum_out,
-    }
-}
+use wtts_bench::perf;
 
 #[derive(Default)]
 struct Args {
@@ -167,7 +157,7 @@ fn main() {
     let reports: Vec<IngestReport> = fleet
         .iter()
         .flat_map(|gw| gateway_reports_seeded(&gw, channel, 100 + gw.id as u64))
-        .map(|t| envelope(&t))
+        .map(|t| perf::envelope(&t))
         .collect();
     println!(
         "replaying {} reports from {fleet_size} gateways through a lossy channel\n",
