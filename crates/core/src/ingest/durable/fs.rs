@@ -9,7 +9,7 @@
 //! invariants under disk failure instead of hoping.
 //!
 //! Transient-failure handling lives here too: [`IoPolicy`] bounds
-//! retry-with-exponential-backoff, and [`with_retry`] is the single retry
+//! retry-with-exponential-backoff, and `with_retry` is the single retry
 //! loop every durable I/O call goes through (retries are counted by the
 //! caller via the returned attempt count).
 
@@ -48,7 +48,7 @@ pub trait WalFile: Send {
 /// object-safe trait. Implemented by [`StdFs`] (the real thing) and
 /// [`FaultyFs`] (seeded fault schedules); held as `Arc<dyn WalFs>` inside
 /// [`super::DurableConfig`].
-pub trait WalFs: Send + Sync {
+pub trait WalFs: Send + Sync + std::fmt::Debug {
     /// Creates (or truncates) a file for appending.
     fn create(&self, path: &Path) -> io::Result<Box<dyn WalFile>>;
     /// Creates a file that must not already exist (`O_EXCL`), writing
@@ -68,6 +68,15 @@ pub trait WalFs: Send + Sync {
     fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
     /// File size in bytes, or `None` if the file does not exist.
     fn file_len(&self, path: &Path) -> io::Result<Option<u64>>;
+}
+
+/// Removes `path` through `fs`; `Ok(false)` when it was already gone.
+pub(crate) fn remove_existing(fs: &dyn WalFs, path: &Path) -> io::Result<bool> {
+    match fs.remove(path) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -357,11 +366,7 @@ impl WalFs for FaultyFs {
             Some(FaultKind::RenameTorn) => {
                 // Torn between unlink and link: the destination is gone,
                 // the source still exists, and the caller sees EIO.
-                match self.inner.remove(to) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e),
-                }
+                remove_existing(&self.inner, to)?;
                 Err(io::Error::from_raw_os_error(EIO))
             }
             Some(FaultKind::WriteEio) => Err(io::Error::from_raw_os_error(EIO)),

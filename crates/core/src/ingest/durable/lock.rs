@@ -26,7 +26,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use super::fs::WalFs;
+use super::fs::{remove_existing, WalFs};
 
 /// The lock file name inside a durable directory.
 pub const LOCK_FILE: &str = "ingest.lock";
@@ -149,19 +149,11 @@ pub(crate) enum Acquired {
 }
 
 /// The held single-writer lock: removing the file on drop releases it.
+#[derive(Debug)]
 pub(crate) struct LockGuard {
     fs: Arc<dyn WalFs>,
     path: PathBuf,
     held: bool,
-}
-
-impl std::fmt::Debug for LockGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LockGuard")
-            .field("path", &self.path)
-            .field("held", &self.held)
-            .finish()
-    }
 }
 
 impl LockGuard {
@@ -231,11 +223,7 @@ impl LockGuard {
                         }
                     }
                     // Fence the dead/corrupt owner and retry the create.
-                    match fs.remove(&path) {
-                        Ok(()) => {}
-                        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                        Err(e) => return Err(LockError::Io(e)),
-                    }
+                    remove_existing(fs.as_ref(), &path)?;
                     fenced = true;
                 }
                 Err(e) => return Err(LockError::Io(e)),

@@ -22,7 +22,7 @@
 //!   *function of state*, so replaying the same consumed sequence
 //!   reproduces the same drops, counters and windows bit for bit.
 //! * **Snapshot** (`snap-<shard>.bin`, atomic tmp+rename) — the full
-//!   [`ShardState`] plus its [`ShardCounts`] ledger, written every
+//!   `ShardState` plus its [`ShardCounts`] ledger, written every
 //!   [`DurableConfig::snapshot_every_reports`] consumed reports. A
 //!   checksummed-valid snapshot is trusted as self-contained state: it
 //!   records the last consumed sequence (`coverage_seq`), how many records
@@ -31,7 +31,8 @@
 //! * **Compaction** — after a snapshot publishes, and as a segment seals,
 //!   every sealed segment whose records all fall at or below the published
 //!   `coverage_seq` is deleted
-//!   ([`MetricsSnapshot::wal_segments_compacted`]), so disk usage stays
+//!   ([`MetricsSnapshot::wal_segments_compacted`](super::MetricsSnapshot::wal_segments_compacted)),
+//!   so disk usage stays
 //!   bounded by the snapshot cadence plus the segment size instead of
 //!   growing with the stream.
 //! * **Fault tolerance** — every file operation goes through the
@@ -45,23 +46,27 @@
 //!   invents data: records that were logged but are no longer replayable
 //!   (compacted segments whose snapshot died) surface as counted
 //!   `wal_lost_records`, and the conservation laws
-//!   ([`MetricsSnapshot::fully_accounted`],
-//!   [`MetricsSnapshot::durably_accounted`]) still balance.
+//!   ([`MetricsSnapshot::fully_accounted`](super::MetricsSnapshot::fully_accounted),
+//!   [`MetricsSnapshot::durably_accounted`](super::MetricsSnapshot::durably_accounted))
+//!   still balance.
 //!
 //! **Recovery invariants** (tested in `tests/durable.rs` and below):
 //!
 //! 1. *Bit-identical state or a typed gap*: after recovery, each shard's
 //!    canonical state encoding equals a fresh fold of
-//!    [`ShardState::consume`] over its durably-logged record sequence —
+//!    `ShardState::consume` over its durably-logged record sequence —
 //!    or, when loss was injected, the books report exactly how many
-//!    records are gone ([`MetricsSnapshot::durability_gap`]).
+//!    records are gone
+//!    ([`MetricsSnapshot::durability_gap`](super::MetricsSnapshot::durability_gap)).
 //! 2. *Bit-identical completion*: crash at any point, recover, re-feed the
 //!    stream, and the final [`IngestSummary`], pre-finish state digest and
 //!    deterministic metrics projection equal an uninterrupted run's.
 //! 3. *Conservation*: `ingested + dropped + wal_lost_records == offered`
 //!    and `wal_records + wal_gap_records + wal_lost_records == offered`
 //!    at quiescence, under any seeded fault schedule — with the other
-//!    declared laws, [`MetricsSnapshot::check_laws`] finds none broken.
+//!    declared laws,
+//!    [`MetricsSnapshot::check_laws`](super::MetricsSnapshot::check_laws)
+//!    finds none broken.
 //!
 //! Sequence numbers are global (1-based, assigned by the producer in
 //! stream order), so each shard's log holds a strictly increasing
@@ -83,7 +88,7 @@ use std::sync::Arc;
 
 use super::{
     GatewayLane, IngestConfig, IngestMetrics, IngestPipeline, IngestReport, IngestSummary,
-    KillSwitch, PendingMinute, RunEnd, ShardCounts, ShardState,
+    PendingMinute, ShardCounts, ShardState,
 };
 use crate::streaming::{MotifTemplate, OnlinePearson, WindowAccumulator};
 use wtts_timeseries::Minute;
@@ -94,7 +99,7 @@ pub mod lock;
 pub use fs::{FaultKind, FaultSpec, FaultyFs, IoPolicy, StdFs, WalFile, WalFs};
 pub use lock::{LockError, LOCK_FILE};
 
-use fs::with_retry;
+use fs::{remove_existing, with_retry};
 use lock::{Acquired, LockGuard};
 
 // ---------------------------------------------------------------------------
@@ -139,7 +144,7 @@ const fn crc_tables() -> [[u32; 256]; 16] {
 
 /// CRC32 (IEEE 802.3, reflected, init/final xor `0xFFFF_FFFF`) — the
 /// polynomial every torn-tail detector speaks. Slicing-by-16: sixteen
-/// bytes per step through [`CRC_TABLES`], bytewise over the tail; the bits
+/// bytes per step through `CRC_TABLES`, bytewise over the tail; the bits
 /// equal the one-table bytewise CRC.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
@@ -277,7 +282,7 @@ pub(crate) fn config_fingerprint(config: &IngestConfig, n_templates: usize) -> u
     acc = fnv1a64_u64(acc, config.dominance_phi.to_bits());
     acc = fnv1a64_u64(acc, config.motif_threshold.to_bits());
     acc = fnv1a64_u64(acc, n_templates as u64);
-    acc = fnv1a64_u64(acc, config.shards.max(1) as u64);
+    acc = fnv1a64_u64(acc, config.shards as u64);
     acc
 }
 
@@ -747,13 +752,28 @@ fn scan_frames(
     scan
 }
 
-/// Reads a segment file and checks its header, returning its bytes and
-/// the shard's appended-record count when it was opened
-/// (`records_before`, the stitch line recovery audits); `None` for a shell
-/// without a whole header (the process died inside the header write),
-/// which carries nothing. Header mismatches (magic, fingerprint, shard)
-/// are hard errors: that is configuration confusion (or a segment of
-/// another format version), not disk wear.
+/// Checks a segment's length and magic and returns its header fields
+/// `(fingerprint, shard, records_before)` — `records_before` is the
+/// shard's appended-record count when the segment opened, the stitch line
+/// recovery audits; `None` for a shell without a whole header (the process
+/// died inside the header write), which carries nothing. A wrong magic is
+/// a hard error: a segment of another format version, not disk wear.
+fn seg_header(bytes: &[u8]) -> io::Result<Option<(u64, u32, u64)>> {
+    if bytes.len() < SEG_HEADER_LEN {
+        return Ok(None);
+    }
+    let mut cur = Cursor::new(&bytes[..SEG_HEADER_LEN]);
+    if cur.take(8)? != SEG_MAGIC {
+        return Err(corrupt("bad segment magic"));
+    }
+    let (fingerprint, shard, _first_seq) = (cur.u64()?, cur.u32()?, cur.u64()?);
+    Ok(Some((fingerprint, shard, cur.u64()?)))
+}
+
+/// Reads a segment file and checks its header against the shard and the
+/// configuration, returning its bytes and `records_before` ([`seg_header`];
+/// `None` for a shell). A fingerprint or shard mismatch is configuration
+/// confusion, a hard error like a wrong magic.
 fn read_segment(
     fs: &dyn WalFs,
     path: &Path,
@@ -761,22 +781,67 @@ fn read_segment(
     fingerprint: u64,
 ) -> io::Result<Option<(Vec<u8>, u64)>> {
     let bytes = fs.read(path)?;
-    if bytes.len() < SEG_HEADER_LEN {
+    let Some((fp, sh, records_before)) = seg_header(&bytes)? else {
         return Ok(None);
-    }
-    if &bytes[0..8] != SEG_MAGIC {
-        return Err(corrupt("bad segment magic"));
-    }
-    let fp = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+    };
     if fp != fingerprint {
         return Err(corrupt("segment written under a different configuration"));
     }
-    let sh = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
     if sh as usize != shard {
         return Err(corrupt("segment shard mismatch"));
     }
-    let records_before = u64::from_le_bytes(bytes[28..36].try_into().unwrap());
     Ok(Some((bytes, records_before)))
+}
+
+/// A snapshot file past its checksum: the header fields and the encoded
+/// shard state.
+struct SnapFile<'a> {
+    shard: u32,
+    fingerprint: u64,
+    /// Last consumed global sequence number ("C"): replay only records
+    /// with seq > C.
+    coverage_seq: u64,
+    /// `state.processed` at snapshot time ("S"): how many records the
+    /// snapshot covers.
+    covered_records: u64,
+    /// The shard's total appended-record count at snapshot time (durable +
+    /// previously counted losses, "T"); `T - S` is the inherited
+    /// durability gap carried across recoveries.
+    total_records: u64,
+    state: &'a [u8],
+}
+
+/// Parses a snapshot file; `None` when it fails its checksum (torn or
+/// bit-rotted). Past the checksum, a wrong magic or version is a hard
+/// error: configuration confusion, not disk damage.
+fn parse_snapshot(bytes: &[u8]) -> io::Result<Option<SnapFile<'_>>> {
+    if bytes.len() < 4 {
+        return Ok(None);
+    }
+    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
+    if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
+        return Ok(None);
+    }
+    let mut cur = Cursor::new(body);
+    if cur.take(8)? != SNAP_MAGIC {
+        return Err(corrupt("bad snapshot magic"));
+    }
+    if cur.u32()? != SNAP_VERSION {
+        return Err(corrupt("unsupported snapshot version"));
+    }
+    let snap = SnapFile {
+        shard: cur.u32()?,
+        fingerprint: cur.u64()?,
+        coverage_seq: cur.u64()?,
+        covered_records: cur.u64()?,
+        total_records: cur.u64()?,
+        state: {
+            let len = cur.len(1)?;
+            cur.take(len)?
+        },
+    };
+    cur.done()?;
+    Ok(Some(snap))
 }
 
 /// Outcome of loading a shard snapshot.
@@ -786,19 +851,13 @@ enum SnapLoad {
     /// A file exists but fails its checksum (torn or bit-rotted) — counted
     /// `snapshots_discarded`; recovery proceeds from the segments alone.
     Discarded,
-    /// A checksummed-valid snapshot: trusted as self-contained state.
+    /// A checksummed-valid snapshot, trusted as self-contained state: the
+    /// coverage fields of [`SnapFile`] and the decoded shard state (boxed:
+    /// it dwarfs the other variants).
     Loaded {
-        /// Last consumed global sequence number ("C"): replay only
-        /// records with seq > C.
         coverage_seq: u64,
-        /// `state.processed` at snapshot time ("S"): how many records the
-        /// snapshot covers.
         covered_records: u64,
-        /// The shard's total appended-record count at snapshot time
-        /// (durable + previously counted losses, "T"); `T - S` is the
-        /// inherited durability gap carried across recoveries.
         total_records: u64,
-        /// The decoded shard state (boxed: it dwarfs the other variants).
         state: Box<ShardState>,
     },
 }
@@ -816,40 +875,20 @@ fn load_snapshot(
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(SnapLoad::Absent),
         Err(e) => return Err(e),
     };
-    if bytes.len() < 4 {
+    let Some(snap) = parse_snapshot(&bytes)? else {
         return Ok(SnapLoad::Discarded);
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != crc {
-        return Ok(SnapLoad::Discarded);
-    }
-    // Past the checksum, mismatches mean configuration confusion, not
-    // disk damage: refuse loudly instead of silently starting over.
-    let mut cur = Cursor::new(body);
-    if cur.take(8)? != SNAP_MAGIC {
-        return Err(corrupt("bad snapshot magic"));
-    }
-    if cur.u32()? != SNAP_VERSION {
-        return Err(corrupt("unsupported snapshot version"));
-    }
-    if cur.u32()? != shard as u32 {
+    };
+    if snap.shard != shard as u32 {
         return Err(corrupt("snapshot shard mismatch"));
     }
-    if cur.u64()? != fingerprint {
+    if snap.fingerprint != fingerprint {
         return Err(corrupt("snapshot written under a different configuration"));
     }
-    let coverage_seq = cur.u64()?;
-    let covered_records = cur.u64()?;
-    let total_records = cur.u64()?;
-    let state_len = cur.len(1)?;
-    let state = Box::new(decode_state(cur.take(state_len)?, config, n_templates)?);
-    cur.done()?;
     Ok(SnapLoad::Loaded {
-        coverage_seq,
-        covered_records,
-        total_records,
-        state,
+        coverage_seq: snap.coverage_seq,
+        covered_records: snap.covered_records,
+        total_records: snap.total_records,
+        state: Box::new(decode_state(snap.state, config, n_templates)?),
     })
 }
 
@@ -858,7 +897,7 @@ fn load_snapshot(
 // ---------------------------------------------------------------------------
 
 /// Durable-run configuration.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct DurableConfig {
     /// Directory holding the per-shard segments, snapshots and lock.
     pub dir: PathBuf,
@@ -881,19 +920,6 @@ pub struct DurableConfig {
     /// The filesystem to run against: [`StdFs`] in production,
     /// [`FaultyFs`] under fault injection.
     pub fs: Arc<dyn WalFs>,
-}
-
-impl std::fmt::Debug for DurableConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurableConfig")
-            .field("dir", &self.dir)
-            .field("snapshot_every_reports", &self.snapshot_every_reports)
-            .field("fsync", &self.fsync)
-            .field("segment_bytes", &self.segment_bytes)
-            .field("takeover", &self.takeover)
-            .field("io", &self.io)
-            .finish_non_exhaustive()
-    }
 }
 
 impl DurableConfig {
@@ -962,27 +988,51 @@ pub enum Durability {
     },
 }
 
-/// Internal typed give-up: a buffered flush (or segment open) failed after
-/// retries, losing `lost_records` buffered records. Callers feed the count
-/// into degraded-mode gap accounting instead of dropping it silently.
-struct WalGaveUp {
-    lost_records: u64,
-    error: io::Error,
-}
-
-impl std::fmt::Display for WalGaveUp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "wal i/o gave up after retries ({} buffered records lost): {}",
-            self.lost_records, self.error
-        )
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Per-shard durability hooks (owned by the shard worker)
 // ---------------------------------------------------------------------------
+
+/// One retried, counted I/O call: `op` under the retry budget of `policy`,
+/// its retries counted `wal_io_retries` and an exhausted budget one
+/// `wal_io_gave_up`.
+fn retried<T>(
+    policy: &IoPolicy,
+    metrics: &IngestMetrics,
+    op: impl FnMut() -> io::Result<T>,
+) -> io::Result<T> {
+    let (res, retries) = with_retry(policy, op);
+    metrics.wal_io_retries.add(retries);
+    if res.is_err() {
+        metrics.wal_io_gave_up.incr();
+    }
+    res
+}
+
+/// Appends all of `buf` to `file`, resubmitting short writes; a write that
+/// makes no progress fails with `WriteZero`. `attempt` runs each append
+/// call: through [`retried`] on its own, or as is inside a larger retried
+/// unit. On failure, returns how many bytes landed, with the error.
+fn append_all(
+    file: &mut dyn WalFile,
+    buf: &[u8],
+    attempt: impl Fn(&mut dyn FnMut() -> io::Result<usize>) -> io::Result<usize>,
+) -> Result<(), (usize, io::Error)> {
+    let mut off = 0;
+    while off < buf.len() {
+        let mut append = || match file.append(&buf[off..]) {
+            Ok(0) => Err(io::Error::new(
+                io::ErrorKind::WriteZero,
+                "write made no progress",
+            )),
+            other => other,
+        };
+        match attempt(&mut append) {
+            Ok(n) => off += n,
+            Err(e) => return Err((off, e)),
+        }
+    }
+    Ok(())
+}
 
 /// A sealed (rotated, fully flushed) segment still on disk.
 struct SegmentInfo {
@@ -1150,9 +1200,7 @@ impl ShardDurability {
             .expect("active segment after open")
             .last_seq = batch[batch.len() - 1].0;
         if self.buf.len() >= WAL_FLUSH_BYTES {
-            if let Err(gave) = self.flush_inner() {
-                self.enter_degraded(gave.lost_records);
-            }
+            self.flush();
         }
     }
 
@@ -1163,38 +1211,15 @@ impl ShardDurability {
     fn open_segment(&mut self, first_seq: u64, records_before: u64) {
         let path = seg_path(&self.dir, self.shard, first_seq);
         let header = encode_seg_header(self.shard, self.fingerprint, first_seq, records_before);
-        let io = self.io.clone();
-        let fs = Arc::clone(&self.fs);
-        let (created, retries) = with_retry(&io, || fs.create(&path));
-        self.metrics.wal_io_retries.add(retries);
-        let mut file = match created {
-            Ok(f) => f,
-            Err(_) => {
-                self.metrics.wal_io_gave_up.incr();
-                self.enter_degraded(0);
-                return;
-            }
+        let (policy, metrics) = (&self.io, &*self.metrics);
+        let Ok(mut file) = retried(policy, metrics, || self.fs.create(&path)) else {
+            self.enter_degraded(0);
+            return;
         };
-        let mut off = 0usize;
-        while off < header.len() {
-            let chunk = &header[off..];
-            let (res, retries) = with_retry(&io, || match file.append(chunk) {
-                Ok(0) => Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "segment header write made no progress",
-                )),
-                other => other,
-            });
-            self.metrics.wal_io_retries.add(retries);
-            match res {
-                Ok(n) => off += n,
-                Err(_) => {
-                    self.metrics.wal_io_gave_up.incr();
-                    let _ = fs.remove(&path);
-                    self.enter_degraded(0);
-                    return;
-                }
-            }
+        if append_all(&mut *file, &header, |op| retried(policy, metrics, op)).is_err() {
+            let _ = self.fs.remove(&path);
+            self.enter_degraded(0);
+            return;
         }
         self.metrics.wal_segments_created.incr();
         self.active = Some(ActiveSegment {
@@ -1211,8 +1236,7 @@ impl ShardDurability {
     /// often seals right after a snapshot covered all of it; it is
     /// compacted then rather than at the next snapshot.
     fn seal_active(&mut self) {
-        if let Err(gave) = self.flush_inner() {
-            self.enter_degraded(gave.lost_records);
+        if !self.flush() {
             return;
         }
         if let Some(a) = self.active.take() {
@@ -1230,81 +1254,52 @@ impl ShardDurability {
     }
 
     /// Writes the append buffer to the active segment, resubmitting short
-    /// writes and retrying transients. On give-up, whole frames already
-    /// on disk stay durable (counted `wal_records`); the remainder of the
-    /// buffer is returned as the typed loss.
-    fn flush_inner(&mut self) -> Result<(), WalGaveUp> {
+    /// writes and retrying each append, then syncs it when `fsync` is on.
+    /// On give-up, whole frames already on disk stay durable (counted
+    /// `wal_records`), the remainder of the buffer is the durability gap
+    /// and the shard degrades. Returns whether the flush held. A degraded
+    /// shard buffers nothing, so flushing it is a no-op that holds.
+    pub(crate) fn flush(&mut self) -> bool {
         if self.buf.is_empty() {
-            return Ok(());
+            return true;
         }
-        let io = self.io.clone();
-        let mut off = 0usize;
-        while off < self.buf.len() {
-            let Some(active) = self.active.as_mut() else {
-                let lost = self.buf_records;
-                self.clear_buf();
-                return Err(WalGaveUp {
-                    lost_records: lost,
-                    error: io::Error::new(io::ErrorKind::NotFound, "no active segment"),
-                });
-            };
-            let chunk = &self.buf[off..];
-            let (res, retries) = with_retry(&io, || match active.file.append(chunk) {
-                Ok(0) => Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "wal append made no progress",
-                )),
-                other => other,
-            });
-            self.metrics.wal_io_retries.add(retries);
-            match res {
-                Ok(n) => off += n,
-                Err(error) => {
-                    // Whole frames below the write point are durable; the
-                    // partial tail (if any) is a torn frame recovery will
-                    // truncate away.
-                    let whole: u64 = self
-                        .buf_frames
-                        .iter()
-                        .take_while(|&&(end, _)| end <= off)
-                        .map(|&(_, records)| records)
-                        .sum();
-                    let lost = self.buf_records - whole;
-                    let a = self.active.as_mut().expect("active segment");
-                    a.flushed_len += off as u64;
-                    a.records += whole;
-                    self.metrics.wal_records.add(whole);
-                    self.metrics.wal_io_gave_up.incr();
-                    self.clear_buf();
-                    return Err(WalGaveUp {
-                        lost_records: lost,
-                        error,
-                    });
-                }
-            }
-        }
-        let flushed_records = self.buf_records;
-        let flushed_bytes = self.buf.len() as u64;
-        {
-            let a = self.active.as_mut().expect("active segment");
-            a.flushed_len += flushed_bytes;
-            a.records += flushed_records;
-        }
-        self.metrics.wal_records.add(flushed_records);
+        let Some(active) = self.active.as_mut() else {
+            self.enter_degraded(0);
+            return false;
+        };
+        let written = append_all(&mut *active.file, &self.buf, |op| {
+            retried(&self.io, &self.metrics, op)
+        });
+        let (bytes, records) = match written {
+            Ok(()) => (self.buf.len(), self.buf_records),
+            // Whole frames below the write point are durable; the partial
+            // tail (if any) is a torn frame recovery will truncate away.
+            Err((off, _)) => (
+                off,
+                self.buf_frames
+                    .iter()
+                    .take_while(|&&(end, _)| end <= off)
+                    .map(|&(_, records)| records)
+                    .sum(),
+            ),
+        };
+        active.flushed_len += bytes as u64;
+        active.records += records;
+        self.metrics.wal_records.add(records);
+        let lost = self.buf_records - records;
         self.clear_buf();
+        if written.is_err() {
+            self.enter_degraded(lost);
+            return false;
+        }
         if self.fsync {
             let active = self.active.as_mut().expect("active segment");
-            let (res, retries) = with_retry(&io, || active.file.sync());
-            self.metrics.wal_io_retries.add(retries);
-            if let Err(error) = res {
-                self.metrics.wal_io_gave_up.incr();
-                return Err(WalGaveUp {
-                    lost_records: 0,
-                    error,
-                });
+            if retried(&self.io, &self.metrics, || active.file.sync()).is_err() {
+                self.enter_degraded(0);
+                return false;
             }
         }
-        Ok(())
+        true
     }
 
     /// Simulated process death: unflushed bytes are gone. (Used by the
@@ -1325,11 +1320,7 @@ impl ShardDurability {
     /// first. A failed snapshot is *not* a durability gap — the segments
     /// still hold everything; the cadence is simply skipped.
     pub(crate) fn write_snapshot(&mut self, state: &ShardState) {
-        if self.degraded {
-            return;
-        }
-        if let Err(gave) = self.flush_inner() {
-            self.enter_degraded(gave.lost_records);
+        if self.degraded || !self.flush() {
             return;
         }
         let body = encode_state(state);
@@ -1346,43 +1337,23 @@ impl ShardDurability {
         let crc = crc32(&buf);
         buf.extend_from_slice(&crc.to_le_bytes());
 
-        let io = self.io.clone();
-        let fs = Arc::clone(&self.fs);
-        let tmp = self.snap_tmp.clone();
-        let fsync = self.fsync;
+        let (fs, tmp) = (&self.fs, &self.snap_tmp);
         // The whole tmp write is one retryable unit: a retry restarts from
         // a truncating create, so partial attempts never compose.
-        let (res, retries) = with_retry(&io, || {
-            let mut f = fs.create(&tmp)?;
-            let mut off = 0usize;
-            while off < buf.len() {
-                match f.append(&buf[off..]) {
-                    Ok(0) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::WriteZero,
-                            "snapshot write made no progress",
-                        ))
-                    }
-                    Ok(n) => off += n,
-                    Err(e) => return Err(e),
-                }
-            }
-            if fsync {
+        let written = retried(&self.io, &self.metrics, || {
+            let mut f = fs.create(tmp)?;
+            append_all(&mut *f, &buf, |op| op()).map_err(|(_, e)| e)?;
+            if self.fsync {
                 f.sync()?;
             }
             Ok(())
         });
-        self.metrics.wal_io_retries.add(retries);
-        if res.is_err() {
-            self.metrics.wal_io_gave_up.incr();
-            let _ = fs.remove(&tmp);
+        if written.is_err() {
+            let _ = fs.remove(tmp);
             return;
         }
-        let (res, retries) = with_retry(&io, || fs.rename(&tmp, &self.snap));
-        self.metrics.wal_io_retries.add(retries);
-        if res.is_err() {
-            self.metrics.wal_io_gave_up.incr();
-            let _ = fs.remove(&tmp);
+        if retried(&self.io, &self.metrics, || fs.rename(tmp, &self.snap)).is_err() {
+            let _ = fs.remove(tmp);
             // A torn rename may have unlinked the published snapshot.
             self.published_coverage = 0;
             return;
@@ -1397,41 +1368,18 @@ impl ShardDurability {
     /// published snapshot coverage. A segment that refuses to die stays
     /// queued for the next cadence.
     fn compact(&mut self, coverage_seq: u64) {
-        let io = self.io.clone();
-        let fs = Arc::clone(&self.fs);
-        let metrics = Arc::clone(&self.metrics);
         self.sealed.retain(|seg| {
             if seg.last_seq > coverage_seq {
                 return true;
             }
-            let (res, retries) = with_retry(&io, || match fs.remove(&seg.path) {
-                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-                other => other,
+            let removed = retried(&self.io, &self.metrics, || {
+                remove_existing(self.fs.as_ref(), &seg.path)
             });
-            metrics.wal_io_retries.add(retries);
-            match res {
-                Ok(()) => {
-                    metrics.wal_segments_compacted.incr();
-                    false
-                }
-                Err(_) => {
-                    metrics.wal_io_gave_up.incr();
-                    true
-                }
+            if removed.is_ok() {
+                self.metrics.wal_segments_compacted.incr();
             }
+            removed.is_err()
         });
-    }
-
-    /// Final flush at stream end. Infallible like every worker-facing
-    /// method: a last-moment give-up degrades (and is counted) rather than
-    /// erroring the shard.
-    pub(crate) fn finish(&mut self) {
-        if self.degraded {
-            return;
-        }
-        if let Err(gave) = self.flush_inner() {
-            self.enter_degraded(gave.lost_records);
-        }
     }
 }
 
@@ -1495,14 +1443,6 @@ pub enum DurableRun {
 }
 
 impl DurableRun {
-    /// The summary of a completed run, if it completed.
-    pub fn summary(&self) -> Option<&IngestSummary> {
-        match self {
-            DurableRun::Completed { summary, .. } => Some(summary),
-            DurableRun::Killed => None,
-        }
-    }
-
     /// The durability status of a completed run, if it completed.
     pub fn durability(&self) -> Option<Durability> {
         match self {
@@ -1519,15 +1459,49 @@ impl DurableRun {
 /// [`DurablePipeline::run`]. Each instance runs once.
 pub struct DurablePipeline {
     pipeline: IngestPipeline,
-    durable: DurableConfig,
     fingerprint: u64,
     lock: LockGuard,
-    /// Recovered/fresh shard states and their open durability hooks;
+    /// Each shard's fresh or recovered state and its open durability hook;
     /// consumed by `run`.
-    armed: Option<(Vec<ShardState>, Vec<ShardDurability>)>,
+    armed: Option<Vec<(ShardState, ShardDurability)>>,
 }
 
 impl DurablePipeline {
+    /// What [`DurablePipeline::create`] and [`DurablePipeline::recover`]
+    /// share: the pipeline, its configuration fingerprint, the
+    /// single-writer lock (a takeover counted), and per shard an empty
+    /// state with a fresh durability hook.
+    fn open(
+        config: IngestConfig,
+        templates: Vec<MotifTemplate>,
+        durable: &DurableConfig,
+    ) -> Result<DurablePipeline, DurableError> {
+        let pipeline = IngestPipeline::new(config, templates);
+        let fingerprint = config_fingerprint(pipeline.config(), pipeline.templates.len());
+        let (lock, acquired) = LockGuard::acquire(
+            Arc::clone(&durable.fs),
+            &durable.dir,
+            fingerprint,
+            durable.takeover,
+        )?;
+        let metrics = pipeline.metrics();
+        if acquired == Acquired::TookOver {
+            metrics.lock_takeovers.incr();
+        }
+        let armed = (0..pipeline.config().shards)
+            .map(|shard| {
+                let hook = ShardDurability::new(shard, durable, fingerprint, Arc::clone(&metrics));
+                (ShardState::new(), hook)
+            })
+            .collect();
+        Ok(DurablePipeline {
+            pipeline,
+            fingerprint,
+            lock,
+            armed: Some(armed),
+        })
+    }
+
     /// Starts a fresh durable pipeline: acquires the single-writer lock
     /// and removes any leftover segments, snapshots and tmp files in
     /// `durable.dir`.
@@ -1536,17 +1510,9 @@ impl DurablePipeline {
         templates: Vec<MotifTemplate>,
         durable: DurableConfig,
     ) -> Result<DurablePipeline, DurableError> {
-        let fs = Arc::clone(&durable.fs);
+        let fs = durable.fs.as_ref();
         fs.create_dir_all(&durable.dir)?;
-        let pipeline = IngestPipeline::new(config, templates);
-        let shards = pipeline.config().shards.max(1);
-        let fingerprint = config_fingerprint(pipeline.config(), pipeline.templates.len());
-        let (lock, acquired) =
-            LockGuard::acquire(Arc::clone(&fs), &durable.dir, fingerprint, durable.takeover)?;
-        let metrics = pipeline.metrics();
-        if acquired == Acquired::TookOver {
-            metrics.lock_takeovers.incr();
-        }
+        let pipeline = DurablePipeline::open(config, templates, &durable)?;
         // A fresh run owns the directory: clear every durable artifact
         // (never the lock we just wrote).
         for name in fs.list(&durable.dir)? {
@@ -1554,31 +1520,10 @@ impl DurablePipeline {
                 || (name.starts_with("snap-") && name.ends_with(".bin"))
                 || name.ends_with(".tmp");
             if stale {
-                match fs.remove(&durable.dir.join(&name)) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(DurableError::Io(e)),
-                }
+                remove_existing(fs, &durable.dir.join(&name))?;
             }
         }
-        let mut states = Vec::with_capacity(shards);
-        let mut hooks = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            states.push(ShardState::new());
-            hooks.push(ShardDurability::new(
-                shard,
-                &durable,
-                fingerprint,
-                Arc::clone(&metrics),
-            ));
-        }
-        Ok(DurablePipeline {
-            pipeline,
-            durable,
-            fingerprint,
-            lock,
-            armed: Some((states, hooks)),
-        })
+        Ok(pipeline)
     }
 
     /// Recovers the durable state of a previous run from `durable.dir`:
@@ -1594,75 +1539,60 @@ impl DurablePipeline {
         templates: Vec<MotifTemplate>,
         durable: DurableConfig,
     ) -> Result<DurablePipeline, DurableError> {
-        let fs = Arc::clone(&durable.fs);
-        let pipeline = IngestPipeline::new(config, templates);
-        let shards = pipeline.config().shards.max(1);
-        let fingerprint = config_fingerprint(pipeline.config(), pipeline.templates.len());
-        let (lock, acquired) =
-            LockGuard::acquire(Arc::clone(&fs), &durable.dir, fingerprint, durable.takeover)?;
-        let metrics = pipeline.metrics();
-        if acquired == Acquired::TookOver {
-            metrics.lock_takeovers.incr();
-        }
+        let mut p = DurablePipeline::open(config, templates, &durable)?;
+        let (fs, dir, pipeline) = (durable.fs.as_ref(), &durable.dir, &p.pipeline);
+        let metrics = &pipeline.metrics;
 
         // Sweep tmp orphans (a crash between snapshot write and rename).
-        let names = fs.list(&durable.dir)?;
-        for name in &names {
-            if name.ends_with(".tmp") {
-                match fs.remove(&durable.dir.join(name)) {
-                    Ok(()) => {
-                        metrics.snapshot_tmp_swept.incr();
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(DurableError::Io(e)),
-                }
+        let names = fs.list(dir)?;
+        for name in names.iter().filter(|name| name.ends_with(".tmp")) {
+            if remove_existing(fs, &dir.join(name))? {
+                metrics.snapshot_tmp_swept.incr();
             }
         }
 
         // Group segment files by shard, ordered by first sequence.
-        let mut by_shard: Vec<Vec<(u64, String)>> = vec![Vec::new(); shards];
+        let shards = pipeline.config().shards;
+        let mut by_shard: Vec<Vec<(u64, &String)>> = vec![Vec::new(); shards];
         for name in &names {
             if let Some((shard, first_seq)) = parse_seg_name(name) {
                 if shard >= shards {
-                    return Err(DurableError::Io(corrupt(
-                        "segment for an out-of-range shard",
-                    )));
+                    return Err(corrupt("segment for an out-of-range shard").into());
                 }
-                by_shard[shard].push((first_seq, name.clone()));
+                by_shard[shard].push((first_seq, name));
             }
         }
 
-        let mut states = Vec::with_capacity(shards);
-        let mut hooks = Vec::with_capacity(shards);
-        for (shard, mut segs) in by_shard.into_iter().enumerate() {
+        let armed = p.armed.as_mut().expect("a fresh instance is armed");
+        for (shard, (mut segs, (state, hook))) in by_shard.into_iter().zip(armed).enumerate() {
             segs.sort_unstable_by_key(|(first_seq, _)| *first_seq);
-            let snap = snap_path(&durable.dir, shard);
-            let (mut state, coverage_seq, covered, mut gap) = match load_snapshot(
-                fs.as_ref(),
+            let snap = snap_path(dir, shard);
+            let loaded = load_snapshot(
+                fs,
                 &snap,
                 shard,
-                fingerprint,
+                p.fingerprint,
                 pipeline.config(),
                 pipeline.templates.len(),
-            )
-            .map_err(DurableError::Io)?
-            {
+            )?;
+            let (coverage_seq, covered, mut gap) = match loaded {
                 SnapLoad::Loaded {
                     coverage_seq,
                     covered_records,
                     total_records,
-                    state,
+                    state: loaded,
                 } => {
+                    *state = *loaded;
                     // The inherited gap: losses already counted by the run
                     // that wrote this snapshot.
                     let gap = total_records.saturating_sub(covered_records);
-                    (*state, coverage_seq, covered_records, gap)
+                    (coverage_seq, covered_records, gap)
                 }
                 SnapLoad::Discarded => {
                     metrics.snapshots_discarded.incr();
-                    (ShardState::new(), 0, 0, 0)
+                    (0, 0, 0)
                 }
-                SnapLoad::Absent => (ShardState::new(), 0, 0, 0),
+                SnapLoad::Absent => (0, 0, 0),
             };
 
             // Stitch segments in sequence order, auditing each header's
@@ -1670,57 +1600,45 @@ impl DurablePipeline {
             // shortfall is a hole — records logged once (compacted away)
             // whose snapshot coverage died with the snapshot.
             let mut above = 0u64; // records replayed past the snapshot
-            let mut sealed = Vec::new();
-            {
-                let _span = metrics.replay.enter();
-                for (_first_seq, name) in &segs {
-                    let path = durable.dir.join(name);
-                    let Some((bytes, records_before)) =
-                        read_segment(fs.as_ref(), &path, shard, fingerprint)
-                            .map_err(DurableError::Io)?
-                    else {
-                        // A shell without a whole header carries nothing.
-                        metrics.wal_torn_records.incr();
-                        match fs.remove(&path) {
-                            Ok(()) | Err(_) => {}
-                        }
-                        continue;
-                    };
-                    let accounted = covered + above + gap;
-                    if records_before > accounted {
-                        let hole = records_before - accounted;
-                        gap += hole;
+            let replay = metrics.replay.enter();
+            for (_first_seq, name) in segs {
+                let path = dir.join(name);
+                let Some((bytes, records_before)) = read_segment(fs, &path, shard, p.fingerprint)?
+                else {
+                    // A shell without a whole header carries nothing.
+                    metrics.wal_torn_records.incr();
+                    let _ = fs.remove(&path);
+                    continue;
+                };
+                let accounted = covered + above + gap;
+                if records_before > accounted {
+                    gap += records_before - accounted;
+                }
+                let scan = scan_frames(&bytes, coverage_seq, |seq, report| {
+                    if seq > coverage_seq {
+                        state.consume(seq, report, pipeline.config(), &pipeline.templates);
+                        above += 1;
                     }
-                    let scan = scan_frames(&bytes, coverage_seq, |seq, report| {
-                        if seq > coverage_seq {
-                            state.consume(seq, report, pipeline.config(), &pipeline.templates);
-                            above += 1;
-                        }
-                    });
-                    metrics.wal_torn_records.add(scan.torn);
-                    if scan.torn > 0 {
-                        // Heal the torn tail so future scans are clean.
-                        fs.set_len(&path, scan.valid_len)
-                            .map_err(DurableError::Io)?;
+                });
+                metrics.wal_torn_records.add(scan.torn);
+                if scan.torn > 0 {
+                    // Heal the torn tail so future scans are clean.
+                    fs.set_len(&path, scan.valid_len)?;
+                }
+                match scan.last_seq {
+                    Some(last_seq) if last_seq > coverage_seq => {
+                        hook.sealed.push(SegmentInfo { path, last_seq });
                     }
-                    match scan.last_seq {
-                        Some(last_seq) if last_seq > coverage_seq => {
-                            sealed.push(SegmentInfo { path, last_seq });
-                        }
-                        _ => {
-                            // Empty, or fully covered by the snapshot:
-                            // compact it now.
-                            match fs.remove(&path) {
-                                Ok(()) => {
-                                    metrics.wal_segments_compacted.incr();
-                                }
-                                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                                Err(e) => return Err(DurableError::Io(e)),
-                            }
+                    // Empty, or fully covered by the snapshot: compact it
+                    // now.
+                    _ => {
+                        if remove_existing(fs, &path)? {
+                            metrics.wal_segments_compacted.incr();
                         }
                     }
                 }
             }
+            drop(replay);
 
             // Restore the books: everything consumed was offered, and the
             // hole is a typed, counted loss — never silent.
@@ -1732,22 +1650,12 @@ impl DurablePipeline {
                 .processed
                 .store(state.processed, Ordering::Relaxed);
 
-            let mut hook = ShardDurability::new(shard, &durable, fingerprint, Arc::clone(&metrics));
             hook.total_records = state.processed + gap;
             hook.last_snapshot_processed = state.processed;
             hook.published_coverage = coverage_seq;
-            hook.sealed = sealed;
-            states.push(state);
-            hooks.push(hook);
         }
         metrics.recoveries.incr();
-        Ok(DurablePipeline {
-            pipeline,
-            durable,
-            fingerprint,
-            lock,
-            armed: Some((states, hooks)),
-        })
+        Ok(p)
     }
 
     /// The live metrics registry (restored books after a recovery).
@@ -1760,17 +1668,20 @@ impl DurablePipeline {
         self.pipeline.config()
     }
 
+    /// The armed shards, before `run` consumes them.
+    fn armed(&self) -> &[(ShardState, ShardDurability)] {
+        self.armed
+            .as_deref()
+            .expect("durable pipeline already consumed by run()")
+    }
+
     /// Combined digest of the current (recovered) shard states — equals
-    /// the digest of a fresh [`ShardState::consume`] fold over each
-    /// shard's durably-logged records.
+    /// the digest of a fresh `ShardState::consume` fold over each shard's
+    /// durably-logged records.
     pub fn state_digest(&self) -> u64 {
-        let (states, _) = self
-            .armed
-            .as_ref()
-            .expect("durable pipeline already consumed by run()");
-        states
+        self.armed()
             .iter()
-            .fold(FNV_OFFSET, |acc, s| fnv1a64_u64(acc, state_digest(s)))
+            .fold(FNV_OFFSET, |acc, (s, _)| fnv1a64_u64(acc, state_digest(s)))
     }
 
     /// The earliest global sequence number NOT yet durable in every shard:
@@ -1779,16 +1690,20 @@ impl DurablePipeline {
     /// beginning is always correct too — already-durable reports are
     /// skipped per shard.
     pub fn resume_seq(&self) -> u64 {
-        let (states, _) = self
-            .armed
-            .as_ref()
-            .expect("durable pipeline already consumed by run()");
-        states.iter().map(|s| s.last_seq).min().unwrap_or(0) + 1
+        self.armed()
+            .iter()
+            .map(|(s, _)| s.last_seq)
+            .min()
+            .unwrap_or(0)
+            + 1
     }
 
     /// Runs the full stream (global sequence numbers assigned from 1),
     /// skipping reports each shard already holds durably. `kill` arms the
     /// crash switch.
+    ///
+    /// # Panics
+    /// A shard worker's panic is resumed on the calling thread.
     pub fn run<I>(&mut self, reports: I, kill: Option<KillPoint>) -> io::Result<DurableRun>
     where
         I: IntoIterator<Item = IngestReport>,
@@ -1808,46 +1723,31 @@ impl DurablePipeline {
     where
         I: IntoIterator<Item = IngestReport>,
     {
-        let (states, hooks) = self
+        let shards = self
             .armed
             .take()
-            .expect("a durable pipeline instance runs once; recover() a new one");
-        let cutoffs = states.iter().map(|s| s.last_seq).collect();
-        let durability = hooks.into_iter().map(Some).collect();
-        let kill = kill.map(|k| KillSwitch {
-            after_offered: k.after_offered,
-            hard: k.mode == KillMode::SigKill,
-        });
-        match self
-            .pipeline
-            .run_inner(reports, first_seq, cutoffs, states, durability, kill)?
-        {
-            RunEnd::Completed(summary, digest) => {
-                let m = &self.pipeline.metrics;
-                let gap = m.wal_gap_records.get() + m.wal_lost_records.get();
-                Ok(DurableRun::Completed {
-                    summary,
-                    state_digest: digest.expect("durable run always yields a digest"),
-                    durability: if gap == 0 {
-                        Durability::Durable
-                    } else {
-                        Durability::Degraded { gap }
-                    },
-                })
-            }
-            RunEnd::Killed => {
-                // A cooperative kill simulates a dead process; within this
-                // process the PID stays alive, so the corpse must release
-                // the lock for recovery to proceed without takeover.
-                self.lock.release();
-                Ok(DurableRun::Killed)
-            }
-        }
-    }
-
-    /// The durable directory this pipeline reads and writes.
-    pub fn dir(&self) -> &Path {
-        &self.durable.dir
+            .expect("a durable pipeline instance runs once; recover() a new one")
+            .into_iter()
+            .map(|(state, hook)| (state, Some(hook)))
+            .collect();
+        let Some((summary, digest)) = self.pipeline.run_inner(reports, first_seq, shards, kill)
+        else {
+            // A cooperative kill simulates a dead process; within this
+            // process the PID stays alive, so the corpse must release the
+            // lock for recovery to proceed without takeover.
+            self.lock.release();
+            return Ok(DurableRun::Killed);
+        };
+        let gap = summary.metrics.durability_gap();
+        Ok(DurableRun::Completed {
+            summary: Box::new(summary),
+            state_digest: digest.expect("durable run always yields a digest"),
+            durability: if gap == 0 {
+                Durability::Durable
+            } else {
+                Durability::Degraded { gap }
+            },
+        })
     }
 
     /// The configuration fingerprint stamped on segments and snapshots.
@@ -1894,42 +1794,25 @@ pub fn segment_files(dir: &Path, shard: usize) -> io::Result<Vec<(u64, PathBuf)>
 
 /// The last sequence number in a segment's valid prefix of whole frames
 /// (`None` when it holds none). Reads the real filesystem; checks the
-/// format magic but, like [`snapshot_coverage`], not the fingerprint or
-/// shard.
+/// header's length and magic as recovery does but, like
+/// [`snapshot_coverage`], not its fingerprint or shard.
 pub fn segment_last_seq(path: &Path) -> io::Result<Option<u64>> {
     let bytes = std::fs::read(path)?;
-    if bytes.len() < SEG_HEADER_LEN {
-        return Ok(None);
-    }
-    if &bytes[0..8] != SEG_MAGIC {
-        return Err(corrupt("bad segment magic"));
-    }
-    Ok(scan_frames(&bytes, u64::MAX, |_, _| {}).last_seq)
+    Ok(seg_header(&bytes)?.and_then(|_| scan_frames(&bytes, u64::MAX, |_, _| {}).last_seq))
 }
 
 /// The coverage sequence of a shard's snapshot, if a checksummed-valid one
-/// exists. Reads the real filesystem; does not validate the fingerprint
-/// (inspection must work without knowing the run's configuration).
+/// exists. Reads the real filesystem and parses the file as recovery does
+/// (a wrong magic or version is an `InvalidData` error), but does not
+/// validate the fingerprint: inspection must work without knowing the
+/// run's configuration.
 pub fn snapshot_coverage(dir: &Path, shard: usize) -> io::Result<Option<u64>> {
     let bytes = match std::fs::read(snap_path(dir, shard)) {
         Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    if bytes.len() < 4 {
-        return Ok(None);
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
-        return Ok(None);
-    }
-    let mut cur = Cursor::new(body);
-    if cur.take(8)? != SNAP_MAGIC || cur.u32()? != SNAP_VERSION {
-        return Ok(None);
-    }
-    let _shard = cur.u32()?;
-    let _fingerprint = cur.u64()?;
-    Ok(Some(cur.u64()?))
+    Ok(parse_snapshot(&bytes)?.map(|snap| snap.coverage_seq))
 }
 
 #[cfg(test)]

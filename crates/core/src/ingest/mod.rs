@@ -36,8 +36,10 @@
 //! **Scale-out.** Gateways are hash-partitioned across worker shards run
 //! under [`std::thread::scope`]; each shard owns its gateways exclusively,
 //! so no lock is taken on the analysis state and results are *identical for
-//! every shard count*. Queues are bounded — a slow shard back-pressures the
-//! producer instead of buffering unbounded memory.
+//! every shard count*. Queues are bounded [`sync_channel`]s — a slow shard
+//! back-pressures the producer instead of buffering unbounded memory, and a
+//! shard worker that panics fails the producer's send instead of blocking
+//! it: the producer stops and the panic reaches the caller.
 //!
 //! **Observability.** All counters are declared once, in one ordered
 //! table that generates the atomic [`IngestMetrics`] registry shared
@@ -60,8 +62,10 @@
 //! recovery invariants.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender};
+use std::sync::Arc;
 
 pub mod durable;
 
@@ -169,6 +173,8 @@ impl Default for IngestConfig {
 /// Per-shard gauges and counters.
 #[derive(Debug, Default)]
 struct ShardMetrics {
+    /// Batches handed to the shard queue's `send` and not yet received:
+    /// raised before `send`, lowered after `recv` or on a failed send.
     queue_depth: AtomicUsize,
     queue_peak: AtomicUsize,
     processed: AtomicU64,
@@ -369,17 +375,20 @@ ingest_counters! {
     ledger dropped_duplicate,
     /// Reports dropped as uncorroborated future jumps.
     ledger dropped_future_jump,
-    /// Reports rejected because the shard queue was already closed (a
-    /// producer racing shutdown — the typed outcome that replaced a silent
-    /// enqueue-past-close bug; no worker will ever pop them).
+    /// Reports whose batch the shard queue refused because its worker had
+    /// already ended (finished, killed or panicked): no worker will ever
+    /// receive them.
     stream dropped_queue_closed,
     /// Complete calendar windows sealed across all gateways.
     ledger windows_sealed,
-    /// Sealed windows that matched a motif template.
+    /// Judged windows (sealed ones and each gateway's trailing partial
+    /// window) that matched a motif template.
     ledger windows_matched,
-    /// Sealed windows matching no template (novel behavior).
+    /// Judged windows (sealed and trailing partial) matching no template
+    /// (novel behavior).
     ledger windows_novel,
-    /// Sealed windows with too few observations to judge.
+    /// Judged windows (sealed and trailing partial) with too few
+    /// observations to judge.
     ledger windows_insufficient,
     /// Trailing partial windows flushed at end of stream.
     ledger partial_windows,
@@ -440,9 +449,14 @@ impl ShardCounts {
 /// Point-in-time copy of one shard's gauges.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSnapshot {
-    /// Batches currently queued for the shard.
+    /// Batches handed to the shard queue and not yet received by its
+    /// worker; 0 at quiescence.
     pub queue_depth: usize,
-    /// Highest queue depth observed (how close backpressure came).
+    /// Highest queue depth observed (how close backpressure came). The
+    /// producer counts a batch in before its `send`, so a full queue reads
+    /// `queue_batches` and `queue_batches + 1` means the producer blocked on
+    /// backpressure. (The worker counts a batch out just after `recv`
+    /// returns; a worker descheduled in that instant can add one more.)
     pub queue_peak: usize,
     /// Reports the shard has processed.
     pub processed: u64,
@@ -585,99 +599,6 @@ impl MetricsSnapshot {
             self.durability_gap(),
             shards.join(",")
         )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bounded MPSC queue (std-only: Mutex + Condvar)
-// ---------------------------------------------------------------------------
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// Outcome of offering an item to a [`BoundedQueue`].
-#[derive(Debug, PartialEq, Eq)]
-enum Push<T> {
-    /// Enqueued; the queue held this many items after the push.
-    Pushed(usize),
-    /// The queue was closed: nothing was enqueued and the item is handed
-    /// back so the caller can account for it.
-    Closed(T),
-}
-
-/// A bounded blocking queue of batches: `push` blocks while full (producer
-/// backpressure), `pop` blocks while empty and returns `None` once the
-/// queue is closed and drained.
-struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    fn new(capacity: usize) -> BoundedQueue<T> {
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Blocks until there is room, then enqueues; returns the depth after
-    /// the push so the caller can maintain gauges without re-locking, or
-    /// [`Push::Closed`] with the item handed back if the queue closed.
-    ///
-    /// An earlier version waited with `while full && !closed` and then
-    /// pushed *unconditionally* — so a `close()` racing a blocked producer
-    /// woke it up and let it enqueue past capacity into a queue whose
-    /// worker may already have drained and exited, silently losing the
-    /// batch from the accounting. Closed is now a terminal verdict checked
-    /// after every wakeup, before touching the buffer.
-    fn push(&self, item: T) -> Push<T> {
-        let mut state = self.state.lock().expect("ingest queue poisoned");
-        loop {
-            if state.closed {
-                return Push::Closed(item);
-            }
-            if state.items.len() < self.capacity {
-                state.items.push_back(item);
-                let depth = state.items.len();
-                drop(state);
-                self.not_empty.notify_one();
-                return Push::Pushed(depth);
-            }
-            state = self.not_full.wait(state).expect("ingest queue poisoned");
-        }
-    }
-
-    /// Blocks until an item is available; `None` once closed and drained.
-    fn pop(&self) -> Option<(T, usize)> {
-        let mut state = self.state.lock().expect("ingest queue poisoned");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                let depth = state.items.len();
-                drop(state);
-                self.not_full.notify_one();
-                return Some((item, depth));
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect("ingest queue poisoned");
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("ingest queue poisoned").closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
@@ -1227,31 +1148,8 @@ impl ShardState {
     }
 }
 
-/// How a shard worker ended.
-enum WorkerEnd {
-    /// Queue drained, lanes finished; per-shard state digest when durable.
-    Finished(Vec<GatewaySummary>, Option<u64>),
-    /// The kill switch fired: the worker aborted without finishing, exactly
-    /// like a crashed process (unflushed WAL bytes are discarded).
-    Killed,
-}
-
-/// How a pipeline run ended (crate-internal; the public surfaces are
-/// [`IngestPipeline::run`] and [`durable::DurableRun`]).
-pub(crate) enum RunEnd {
-    /// Boxed: an [`IngestSummary`] dwarfs the `Killed` variant.
-    Completed(Box<IngestSummary>, Option<u64>),
-    Killed,
-}
-
-/// Crash injection for the durable pipeline (see [`durable::KillPoint`]).
-pub(crate) struct KillSwitch {
-    /// Fire after this many reports have been offered by this run.
-    pub(crate) after_offered: u64,
-    /// `true`: `std::process::abort()` (a real SIGKILL-equivalent, for the
-    /// CI smoke). `false`: cooperative in-process abort via a shared flag.
-    pub(crate) hard: bool,
-}
+/// A batch of sequenced reports, as the producer hands it to a shard.
+type Batch = Vec<(u64, IngestReport)>;
 
 // ---------------------------------------------------------------------------
 // Pipeline
@@ -1268,11 +1166,14 @@ pub struct GatewaySummary {
     pub devices: usize,
     /// Complete windows sealed.
     pub windows_sealed: u64,
-    /// Sealed windows that matched a template.
+    /// Judged windows — the sealed ones plus the trailing partial window
+    /// flushed at end of stream — that matched a template, so the three
+    /// judged counts can sum to one more than `windows_sealed`.
     pub windows_matched: u64,
-    /// Sealed windows matching nothing.
+    /// Judged windows (sealed and trailing partial) matching nothing.
     pub windows_novel: u64,
-    /// Sealed windows with too few observations.
+    /// Judged windows (sealed and trailing partial) with too few
+    /// observations.
     pub windows_insufficient: u64,
     /// Per-template support counts (this gateway's windows only).
     pub support: Vec<u64>,
@@ -1318,13 +1219,13 @@ impl IngestPipeline {
     /// # Panics
     /// Panics if `config.bin_minutes` does not divide the window length
     /// (a configuration error, not a data error).
-    pub fn new(config: IngestConfig, templates: Vec<MotifTemplate>) -> IngestPipeline {
+    pub fn new(mut config: IngestConfig, templates: Vec<MotifTemplate>) -> IngestPipeline {
         // Validate eagerly so a bad configuration fails at construction,
         // not inside a worker thread.
         let _ = WindowAccumulator::new(config.window, config.bin_minutes);
-        let shards = config.shards.max(1);
+        config.shards = config.shards.max(1);
         IngestPipeline {
-            metrics: Arc::new(IngestMetrics::new(shards)),
+            metrics: Arc::new(IngestMetrics::new(config.shards)),
             templates: templates.into(),
             config,
         }
@@ -1336,75 +1237,70 @@ impl IngestPipeline {
         Arc::clone(&self.metrics)
     }
 
-    /// The pipeline configuration.
+    /// The pipeline configuration (with `shards` raised to at least 1).
     pub fn config(&self) -> &IngestConfig {
         &self.config
     }
 
     /// Which shard a gateway is routed to (Fibonacci multiplicative hash).
     pub fn shard_of(&self, gateway: u64) -> usize {
-        let shards = self.config.shards.max(1);
-        (gateway.wrapping_mul(0x9E3779B97F4A7C15) >> 32) as usize % shards
+        (gateway.wrapping_mul(0x9E3779B97F4A7C15) >> 32) as usize % self.config.shards
     }
 
     /// Runs the pipeline to completion over `reports`, consuming the stream
     /// on the calling thread (the producer) while shard workers ingest in
     /// parallel. Returns the merged fleet summary.
+    ///
+    /// # Panics
+    /// A shard worker's panic is resumed on the calling thread.
     pub fn run<I>(&self, reports: I) -> IngestSummary
     where
         I: IntoIterator<Item = IngestReport>,
     {
-        let shards = self.config.shards.max(1);
-        let states = (0..shards).map(|_| ShardState::new()).collect();
-        let durability = (0..shards).map(|_| None).collect();
-        match self.run_inner(reports, 1, vec![0; shards], states, durability, None) {
-            Ok(RunEnd::Completed(summary, _)) => *summary,
-            Ok(RunEnd::Killed) => unreachable!("no kill switch was armed"),
-            Err(e) => unreachable!("non-durable ingest performs no I/O: {e}"),
-        }
+        let shards = (0..self.config.shards)
+            .map(|_| (ShardState::new(), None))
+            .collect();
+        self.run_inner(reports, 1, shards, None)
+            .expect("no kill point was armed")
+            .0
     }
 
     /// The engine behind both [`IngestPipeline::run`] and the durable
     /// pipeline: assigns global sequence numbers starting at `first_seq`,
-    /// skips reports already durable in their shard (`seq <= cutoffs[shard]`,
-    /// counted [`MetricsSnapshot::wal_replayed`]), feeds the rest through
-    /// the bounded queues, and lets each worker drive its [`ShardState`] —
-    /// appending to the WAL and writing snapshots when a durability hook is
-    /// installed, aborting without finishing when the kill switch fires.
+    /// skips reports already durable in their shard (`seq` at or below its
+    /// state's `last_seq`, counted [`MetricsSnapshot::wal_replayed`]), feeds
+    /// the rest through the bounded queues, and lets each worker drive its
+    /// [`ShardState`] — appending to the WAL and writing snapshots when a
+    /// durability hook is installed. Returns the summary and, on a durable
+    /// run, the combined state digest; `None` when `kill` fired and the
+    /// workers stopped without finishing, like a crashed process.
     pub(crate) fn run_inner<I>(
         &self,
         reports: I,
         first_seq: u64,
-        cutoffs: Vec<u64>,
-        states: Vec<ShardState>,
-        durability: Vec<Option<durable::ShardDurability>>,
-        kill: Option<KillSwitch>,
-    ) -> std::io::Result<RunEnd>
+        shards: Vec<(ShardState, Option<durable::ShardDurability>)>,
+        kill: Option<durable::KillPoint>,
+    ) -> Option<(IngestSummary, Option<u64>)>
     where
         I: IntoIterator<Item = IngestReport>,
     {
-        let shards = self.config.shards.max(1);
-        assert_eq!(cutoffs.len(), shards);
-        assert_eq!(states.len(), shards);
-        assert_eq!(durability.len(), shards);
-        let queues: Vec<BoundedQueue<Vec<(u64, IngestReport)>>> = (0..shards)
-            .map(|_| BoundedQueue::new(self.config.queue_batches))
-            .collect();
+        assert_eq!(shards.len(), self.config.shards);
+        let cutoffs: Vec<u64> = shards.iter().map(|(state, _)| state.last_seq).collect();
         let killed = AtomicBool::new(false);
 
-        let ends: Vec<std::io::Result<WorkerEnd>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = states
+        let ends: Vec<_> = std::thread::scope(|scope| {
+            let (queues, handles): (Vec<_>, Vec<_>) = shards
                 .into_iter()
-                .zip(durability)
                 .enumerate()
                 .map(|(shard, (state, dur))| {
-                    let queue = &queues[shard];
+                    let (queue, inbox) = sync_channel(self.config.queue_batches.max(1));
                     let killed = &killed;
-                    scope.spawn(move || self.worker(shard, queue, state, dur, killed))
+                    let worker = scope.spawn(move || self.worker(shard, inbox, state, dur, killed));
+                    (queue, worker)
                 })
-                .collect();
+                .unzip();
 
-            let mut batches: Vec<Vec<(u64, IngestReport)>> = (0..shards)
+            let mut batches: Vec<Batch> = (0..self.config.shards)
                 .map(|_| Vec::with_capacity(self.config.batch_reports))
                 .collect();
             let mut offered_now = 0u64;
@@ -1423,21 +1319,24 @@ impl IngestPipeline {
                         &mut batches[shard],
                         Vec::with_capacity(self.config.batch_reports),
                     );
-                    self.offer_batch(shard, &queues[shard], batch);
-                }
-                offered_now += 1;
-                if let Some(k) = &kill {
-                    if offered_now >= k.after_offered {
-                        if k.hard {
-                            // A genuine unclean death for the crash smoke:
-                            // no unwinding, no buffer flushing, no exit
-                            // handlers — the closest in-process stand-in
-                            // for `kill -9`.
-                            std::process::abort();
-                        }
-                        killed.store(true, Ordering::Relaxed);
+                    if !self.offer_batch(shard, &queues[shard], batch) {
+                        // Only a worker that panicked ends before its queue
+                        // closes: stop offering, so the join below resumes
+                        // its panic now, not after the rest of a stream
+                        // that may never end.
                         break;
                     }
+                }
+                offered_now += 1;
+                if let Some(k) = kill.filter(|k| offered_now >= k.after_offered) {
+                    if k.mode == durable::KillMode::SigKill {
+                        // A genuine unclean death for the crash smoke: no
+                        // unwinding, no buffer flushing, no exit handlers —
+                        // the closest in-process stand-in for `kill -9`.
+                        std::process::abort();
+                    }
+                    killed.store(true, Ordering::Relaxed);
+                    break;
                 }
             }
             if !killed.load(Ordering::Relaxed) {
@@ -1447,30 +1346,21 @@ impl IngestPipeline {
                     }
                 }
             }
-            for queue in &queues {
-                queue.close();
-            }
+            // Closing the queues lets each worker drain its own and end.
+            drop(queues);
 
             handles
                 .into_iter()
-                .map(|h| h.join().expect("ingest shard worker panicked"))
+                .map(|worker| worker.join().unwrap_or_else(|panic| resume_unwind(panic)))
                 .collect()
         });
 
         let mut gateways = Vec::new();
         let mut digests = Vec::new();
-        let mut any_killed = false;
         for end in ends {
-            match end? {
-                WorkerEnd::Finished(summaries, digest) => {
-                    gateways.extend(summaries);
-                    digests.push(digest);
-                }
-                WorkerEnd::Killed => any_killed = true,
-            }
-        }
-        if any_killed {
-            return Ok(RunEnd::Killed);
+            let (summaries, digest) = end?;
+            gateways.extend(summaries);
+            digests.push(digest);
         }
         gateways.sort_by_key(|g| g.gateway);
         let mut support = vec![0u64; self.templates.len()];
@@ -1486,62 +1376,55 @@ impl IngestPipeline {
             .try_fold(durable::FNV_OFFSET, |acc, d| {
                 d.map(|d| durable::fnv1a64_u64(acc, d))
             });
-        Ok(RunEnd::Completed(
-            Box::new(IngestSummary {
-                gateways,
-                support,
-                metrics: self.metrics.snapshot(),
-            }),
-            digest,
-        ))
+        let summary = IngestSummary {
+            gateways,
+            support,
+            metrics: self.metrics.snapshot(),
+        };
+        Some((summary, digest))
     }
 
-    fn offer_batch(
-        &self,
-        shard: usize,
-        queue: &BoundedQueue<Vec<(u64, IngestReport)>>,
-        batch: Vec<(u64, IngestReport)>,
-    ) {
-        match queue.push(batch) {
-            Push::Pushed(depth) => {
-                let gauges = &self.metrics.shards[shard];
-                gauges.queue_depth.store(depth, Ordering::Relaxed);
-                gauges.queue_peak.fetch_max(depth, Ordering::Relaxed);
-            }
-            Push::Closed(batch) => {
-                // The shard already shut down: nothing will pop this batch.
-                // The reports were offered, so account for every one of
-                // them — the conservation law must close even on shutdown
-                // races.
-                self.metrics.dropped_queue_closed.add(batch.len() as u64);
-            }
+    /// Sends a batch to a shard, counting it into the depth gauge first;
+    /// `false` when the shard's worker has ended (killed or panicked) and
+    /// no longer receives, its batch counted dropped instead.
+    fn offer_batch(&self, shard: usize, queue: &SyncSender<Batch>, batch: Batch) -> bool {
+        let gauges = &self.metrics.shards[shard];
+        let depth = gauges.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+        gauges.queue_peak.fetch_max(depth, Ordering::Relaxed);
+        if let Err(SendError(batch)) = queue.send(batch) {
+            // Nothing will receive this batch. The reports were offered,
+            // so account for every one of them — the conservation law must
+            // close even on shutdown races.
+            gauges.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            self.metrics.dropped_queue_closed.add(batch.len() as u64);
+            return false;
         }
+        true
     }
 
+    /// One shard worker: receives batches until the producer closes its
+    /// queue, logs each (durable runs) and consumes it, then finishes the
+    /// lanes. `None` when the run was killed. However it ends, it drops
+    /// `queue`, which fails any send the producer has pending or makes
+    /// later.
     fn worker(
         &self,
         shard: usize,
-        queue: &BoundedQueue<Vec<(u64, IngestReport)>>,
+        queue: Receiver<Batch>,
         mut state: ShardState,
         mut durability: Option<durable::ShardDurability>,
         killed: &AtomicBool,
-    ) -> std::io::Result<WorkerEnd> {
+    ) -> Option<(Vec<GatewaySummary>, Option<u64>)> {
         let gauges = &self.metrics.shards[shard];
         // Seed the throughput gauge with the recovered count so a resumed
         // run's books start where the crashed run's left off.
         gauges.processed.store(state.processed, Ordering::Relaxed);
-        while let Some((batch, depth)) = queue.pop() {
+        for batch in queue {
+            gauges.queue_depth.fetch_sub(1, Ordering::Relaxed);
             if killed.load(Ordering::Relaxed) {
-                // Crash simulation: die between batches, losing the popped
-                // batch and any unflushed WAL bytes, exactly as SIGKILL
-                // would.
-                if let Some(d) = durability.as_mut() {
-                    d.crash();
-                }
-                return Ok(WorkerEnd::Killed);
+                break;
             }
             let _span = gauges.batch_stage.enter();
-            gauges.queue_depth.store(depth, Ordering::Relaxed);
             gauges
                 .processed
                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -1567,32 +1450,27 @@ impl IngestPipeline {
                 }
             }
         }
-        // The queue is closed and drained; settle the depth gauge at 0.
-        // (The producer's relaxed store after its *last* push can otherwise
-        // race this worker's store for that pop and leave a stale non-zero
-        // reading at quiescence. This store happens-after every producer
-        // store via the queue mutex, so the final gauge is deterministic.)
-        gauges.queue_depth.store(0, Ordering::Relaxed);
+        // The producer sets `killed` before it closes the queues, and the
+        // queue's disconnect orders that store before this load.
         if killed.load(Ordering::Relaxed) {
+            // Crash simulation: die between batches, losing any received
+            // batch and the unflushed WAL bytes, exactly as SIGKILL would.
             if let Some(d) = durability.as_mut() {
                 d.crash();
             }
-            return Ok(WorkerEnd::Killed);
+            return None;
         }
-        let digest = match durability.as_mut() {
-            Some(d) => {
-                // Everything consumed is on disk before the run completes
-                // (or counted in the durability gap), and the pre-finish
-                // state digest is what recovery must reproduce.
-                d.finish();
-                Some(durable::state_digest(&state))
-            }
-            None => None,
-        };
+        // Everything consumed is on disk before the run completes (or
+        // counted in the durability gap), and the pre-finish state digest is
+        // what recovery must reproduce.
+        let digest = durability.as_mut().map(|d| {
+            d.flush();
+            durable::state_digest(&state)
+        });
         let before = state.counts;
         let (summaries, final_counts) = state.finish(&self.config, &self.templates);
         self.metrics.apply(&final_counts.minus(&before));
-        Ok(WorkerEnd::Finished(summaries, digest))
+        Some((summaries, digest))
     }
 }
 
@@ -1846,58 +1724,26 @@ mod tests {
         assert_eq!(after.offered, 1000);
     }
 
-    /// Regression: push on a closed queue must refuse the item, not
-    /// enqueue it. The old wait loop (`while full && !closed`) exited on
-    /// close and pushed unconditionally — past capacity, into a queue
-    /// whose worker may already have drained and gone.
-    #[test]
-    fn push_after_close_is_rejected() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(4);
-        assert_eq!(q.push(1), Push::Pushed(1));
-        q.close();
-        assert_eq!(q.push(2), Push::Closed(2));
-        // The item enqueued before the close still drains.
-        assert!(matches!(q.pop(), Some((1, 0))));
-        assert!(q.pop().is_none());
-    }
-
-    /// The racy variant of the bug: a producer *blocked on a full queue*
-    /// when `close()` arrives must wake to a `Closed` verdict, not push.
-    #[test]
-    fn close_racing_blocked_push_rejects_item() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(1);
-        assert_eq!(q.push(1), Push::Pushed(1));
-        std::thread::scope(|scope| {
-            let blocked = scope.spawn(|| q.push(2));
-            // Give the producer time to block on the full queue before
-            // closing; the assertion holds regardless of who wins.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            q.close();
-            assert_eq!(blocked.join().unwrap(), Push::Closed(2));
-        });
-        assert!(matches!(q.pop(), Some((1, 0))));
-        assert!(q.pop().is_none());
-        // Depth never exceeded capacity: the rejected item was handed back.
-    }
-
-    /// Reports offered into an already-closed shard queue are dropped for
-    /// a counted reason; the conservation law closes even on a shutdown
-    /// race.
+    /// Reports offered to a shard whose worker has ended — its queue's
+    /// receiver dropped — are dropped for a counted reason, and the depth
+    /// gauge takes the batch back; the conservation law closes even on a
+    /// shutdown race.
     #[test]
     fn offered_reports_racing_shutdown_are_counted_dropped() {
         let pipeline = IngestPipeline::new(test_config(1), Vec::new());
-        let queue: BoundedQueue<Vec<(u64, IngestReport)>> = BoundedQueue::new(1);
-        queue.close();
+        let (queue, receiver) = sync_channel(1);
+        drop(receiver);
         pipeline.metrics.offered.add(2);
-        pipeline.offer_batch(
+        assert!(!pipeline.offer_batch(
             0,
             &queue,
             vec![(1, report(0, 0, 0, 10)), (2, report(0, 0, 1, 20))],
-        );
+        ));
         let m = pipeline.metrics.snapshot();
         assert_eq!(m.dropped_queue_closed, 2);
         assert_eq!(m.dropped(), 2);
         assert!(m.fully_accounted());
+        assert_eq!(m.per_shard[0].queue_depth, 0);
     }
 
     #[test]

@@ -432,7 +432,7 @@ impl MotifIndex {
 ///   pruned pair's exact similarity is provably `< φ_prune − margin`, and
 ///   its dense `f32` value is `< φ_prune` — below **every** threshold any
 ///   verdict uses, even after `f64` re-verification. Reporting it as
-///   [`PRUNED_SIM`] therefore yields the same `false` verdict the dense
+///   `PRUNED_SIM` therefore yields the same `false` verdict the dense
 ///   path reaches. If any threshold is ≤ 0 the prune threshold is ≤ 0 and
 ///   the engine evaluates every pair — the dense path itself.
 /// * Surviving pairs carry the engine's bit-identical `f32` similarity, the
@@ -446,7 +446,7 @@ impl MotifIndex {
 /// `candidate_pairs` / `pairs_pruned` over the sketch survivors),
 /// `members_grown` / `motifs_merged`, the near-threshold instrument
 /// (`near_phi` / `near_group`, within
-/// [`NEAR_THRESHOLD_BAND`](crate::obs::NEAR_THRESHOLD_BAND) of φ and ¾φ)
+/// [`NEAR_THRESHOLD_BAND`] of φ and ¾φ)
 /// and `f64_reverified`.
 ///
 /// Returns motifs sorted by descending support. Panics if

@@ -92,27 +92,6 @@ impl OnlinePearson {
             cov: parts[4],
         }
     }
-
-    /// Merges another accumulator (parallel aggregation, Chan's method).
-    pub fn merge(&mut self, other: &OnlinePearson) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let (na, nb) = (self.n as f64, other.n as f64);
-        let n = na + nb;
-        let dx = other.mean_x - self.mean_x;
-        let dy = other.mean_y - self.mean_y;
-        self.m2_x += other.m2_x + dx * dx * na * nb / n;
-        self.m2_y += other.m2_y + dy * dy * na * nb / n;
-        self.cov += other.cov + dx * dy * na * nb / n;
-        self.mean_x += dx * nb / n;
-        self.mean_y += dy * nb / n;
-        self.n += other.n;
-    }
 }
 
 /// A sample that precedes the accumulator's current window — late data the
@@ -196,21 +175,10 @@ impl WindowAccumulator {
     }
 
     /// Feeds one per-minute sample, returning any windows completed by the
-    /// stream's advance (more than one if the stream jumped a gap).
-    ///
-    /// # Panics
-    /// Panics if `at` precedes the current window. Streaming consumers that
-    /// must survive late data should use [`WindowAccumulator::try_push`].
-    pub fn push(&mut self, at: Minute, bytes: f64) -> Vec<CompletedWindow> {
-        match self.try_push(at, bytes) {
-            Ok(out) => out,
-            Err(e) => panic!("stream must be time-ordered: {e}"),
-        }
-    }
-
-    /// Feeds one per-minute sample, returning `Err` instead of panicking
-    /// when `at` precedes the current window (the accumulator is unchanged
-    /// in that case — the late sample is the caller's to count and drop).
+    /// stream's advance (more than one if the stream jumped a gap), or
+    /// `Err` instead of panicking when `at` precedes the current window
+    /// (the accumulator is unchanged in that case — the late sample is the
+    /// caller's to count and drop).
     pub fn try_push(&mut self, at: Minute, bytes: f64) -> Result<Vec<CompletedWindow>, LateSample> {
         if at.0 < self.current_start {
             return Err(LateSample {
@@ -235,16 +203,11 @@ impl WindowAccumulator {
     /// window, so an in-order sample pushed after `flush` still lands in it.
     ///
     /// (An earlier version sealed the partial window and advanced a full
-    /// window length, which made any subsequent in-order `push` panic as
+    /// window length, which made any subsequent in-order sample fail as
     /// "late" — flush-then-push is the normal shutdown-then-resume sequence
     /// of a checkpointing pipeline, so flushing must be non-destructive.)
     pub fn flush(&self) -> CompletedWindow {
         self.window_snapshot()
-    }
-
-    /// Start of the window currently being accumulated.
-    pub fn current_window_start(&self) -> Minute {
-        Minute(self.current_start)
     }
 
     /// The raw accumulation state `(current_start, bins, seen)`, for
@@ -383,28 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn online_pearson_merge_equals_sequential() {
-        let pairs: Vec<(f64, f64)> = (0..100)
-            .map(|i| (((i * 7) % 13) as f64, ((i * 11) % 17) as f64))
-            .collect();
-        let mut whole = OnlinePearson::new();
-        for &(a, b) in &pairs {
-            whole.push(a, b);
-        }
-        let mut left = OnlinePearson::new();
-        let mut right = OnlinePearson::new();
-        for &(a, b) in &pairs[..37] {
-            left.push(a, b);
-        }
-        for &(a, b) in &pairs[37..] {
-            right.push(a, b);
-        }
-        left.merge(&right);
-        assert_eq!(left.len(), whole.len());
-        assert!((left.correlation().unwrap() - whole.correlation().unwrap()).abs() < 1e-10);
-    }
-
-    #[test]
     fn degenerate_online_pearson() {
         let mut p = OnlinePearson::new();
         assert!(p.correlation().is_none());
@@ -420,7 +361,7 @@ mod tests {
         let mut acc = WindowAccumulator::new(WindowKind::Daily, 180);
         let mut emitted = Vec::new();
         for m in 0..(2 * MINUTES_PER_DAY) {
-            emitted.extend(acc.push(Minute(m), 10.0));
+            emitted.extend(acc.try_push(Minute(m), 10.0).unwrap());
         }
         assert_eq!(emitted.len(), 1, "one full day sealed by the second day");
         let w = &emitted[0];
@@ -438,9 +379,9 @@ mod tests {
     #[test]
     fn accumulator_handles_gaps() {
         let mut acc = WindowAccumulator::new(WindowKind::Daily, 720);
-        acc.push(Minute(0), 5.0);
+        acc.try_push(Minute(0), 5.0).unwrap();
         // Jump three days ahead: two whole days pass with no samples.
-        let emitted = acc.push(Minute(3 * MINUTES_PER_DAY), 7.0);
+        let emitted = acc.try_push(Minute(3 * MINUTES_PER_DAY), 7.0).unwrap();
         assert_eq!(emitted.len(), 3);
         assert_eq!(emitted[0].values[0], 5.0);
         assert!(emitted[0].values[1].is_nan());
@@ -451,19 +392,11 @@ mod tests {
     #[test]
     fn accumulator_weekly_windows() {
         let mut acc = WindowAccumulator::new(WindowKind::Weekly, 480);
-        let emitted = acc.push(Minute(MINUTES_PER_WEEK + 5), 1.0);
+        let emitted = acc.try_push(Minute(MINUTES_PER_WEEK + 5), 1.0).unwrap();
         assert_eq!(emitted.len(), 1);
         assert_eq!(emitted[0].kind, WindowKind::Weekly);
         assert_eq!(emitted[0].values.len(), 21);
         assert_eq!(emitted[0].weekday, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "time-ordered")]
-    fn accumulator_rejects_time_travel() {
-        let mut acc = WindowAccumulator::new(WindowKind::Daily, 60);
-        let _ = acc.push(Minute(MINUTES_PER_DAY * 2), 1.0);
-        let _ = acc.push(Minute(0), 1.0);
     }
 
     #[test]
@@ -472,20 +405,20 @@ mod tests {
         // `current_start` a full window, so the next in-order push panicked
         // with "stream must be time-ordered".
         let mut acc = WindowAccumulator::new(WindowKind::Daily, 720);
-        acc.push(Minute(10), 5.0);
+        acc.try_push(Minute(10), 5.0).unwrap();
         let partial = acc.flush();
         assert_eq!(partial.values[0], 5.0);
         assert!(partial.values[1].is_nan());
-        assert_eq!(acc.current_window_start(), Minute(0));
+        assert_eq!(acc.raw_parts().0, 0, "still in the first window");
 
         // The very next minute must still be accepted, into the same window.
-        let emitted = acc.push(Minute(11), 7.0);
+        let emitted = acc.try_push(Minute(11), 7.0).unwrap();
         assert!(emitted.is_empty());
         let partial = acc.flush();
         assert_eq!(partial.values[0], 12.0, "flush must not drop accumulation");
 
         // And once the stream passes the window end, it seals normally.
-        let emitted = acc.push(Minute(MINUTES_PER_DAY), 1.0);
+        let emitted = acc.try_push(Minute(MINUTES_PER_DAY), 1.0).unwrap();
         assert_eq!(emitted.len(), 1);
         assert_eq!(emitted[0].values[0], 12.0);
     }
@@ -493,7 +426,7 @@ mod tests {
     #[test]
     fn flush_is_idempotent() {
         let mut acc = WindowAccumulator::new(WindowKind::Daily, 720);
-        acc.push(Minute(3), 2.0);
+        acc.try_push(Minute(3), 2.0).unwrap();
         let (a, b) = (acc.flush(), acc.flush());
         assert_eq!(a.week, b.week);
         assert_eq!(a.weekday, b.weekday);
@@ -508,7 +441,7 @@ mod tests {
     #[test]
     fn try_push_rejects_late_sample_recoverably() {
         let mut acc = WindowAccumulator::new(WindowKind::Daily, 60);
-        let _ = acc.push(Minute(MINUTES_PER_DAY * 2), 1.0);
+        acc.try_push(Minute(MINUTES_PER_DAY * 2), 1.0).unwrap();
         let err = acc.try_push(Minute(5), 1.0).unwrap_err();
         assert_eq!(
             err,

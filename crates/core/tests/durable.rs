@@ -13,17 +13,19 @@ mod common;
 
 use common::{chaos, fleet_reports, gateway_streams, merge_by_minute};
 use proptest::prelude::*;
-use std::io::Write;
-use std::path::PathBuf;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+use wtts_core::ingest::durable::WalFile;
 use wtts_core::ingest::{IngestConfig, IngestReport};
 use wtts_core::motif::{discover_motifs, MotifConfig};
 use wtts_core::streaming::MotifTemplate;
 use wtts_core::{
     segment_files, segment_last_seq, snapshot_coverage, Durability, DurableConfig, DurableError,
     DurablePipeline, DurableRun, FaultKind, FaultSpec, FaultyFs, IngestSummary, IoPolicy,
-    KillPoint, LockError, LOCK_FILE,
+    KillPoint, LockError, StdFs, WalFs, LOCK_FILE,
 };
 use wtts_gwsim::{fault_schedule, kill_points, FaultOp, Fleet, FleetConfig};
 use wtts_timeseries::{aggregate, daily_windows, Granularity, Minute};
@@ -570,4 +572,95 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// The real filesystem, except that creating a WAL segment panics: a shard
+/// worker that dies on its first append.
+#[derive(Debug)]
+struct PanicOnSegment;
+
+impl WalFs for PanicOnSegment {
+    fn create(&self, path: &Path) -> io::Result<Box<dyn WalFile>> {
+        if path.extension().is_some_and(|ext| ext == "seg") {
+            panic!("injected panic creating {}", path.display());
+        }
+        StdFs.create(path)
+    }
+    fn create_new(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
+        StdFs.create_new(path, contents)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        StdFs.read(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        StdFs.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        StdFs.remove(path)
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        StdFs.list(dir)
+    }
+    fn set_len(&self, path: &Path, len: u64) -> io::Result<()> {
+        StdFs.set_len(path, len)
+    }
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        StdFs.create_dir_all(dir)
+    }
+    fn file_len(&self, path: &Path) -> io::Result<Option<u64>> {
+        StdFs.file_len(path)
+    }
+}
+
+/// A shard worker that panics must not leave the producer blocked on its
+/// full queue: the run ends and the worker's panic reaches the caller. One
+/// shard with a one-batch queue of one-report batches keeps the producer
+/// blocked on backpressure when the worker dies.
+#[test]
+fn worker_panic_reaches_the_caller() {
+    let dir = scratch("panic");
+    let run_dir = dir.clone();
+    let pulled = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&pulled);
+    let (done, outcome) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let run = std::panic::catch_unwind(move || {
+            let config = IngestConfig {
+                shards: 1,
+                queue_batches: 1,
+                batch_reports: 1,
+                ..IngestConfig::default()
+            };
+            let durable = DurableConfig {
+                fs: Arc::new(PanicOnSegment),
+                ..DurableConfig::new(run_dir)
+            };
+            let mut p = DurablePipeline::create(config, Vec::new(), durable).expect("create");
+            let reports = (0..10_000u32).map(move |m| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                IngestReport {
+                    gateway: 1,
+                    device: 0,
+                    at: Minute(m),
+                    cum_in: u64::from(m) * 100,
+                    cum_out: 0,
+                }
+            });
+            p.run(reports, None).map(|run| run.durability())
+        });
+        let _ = done.send(run.is_err());
+    });
+    let panicked = outcome
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the run hung after its shard worker panicked");
+    runner.join().expect("the runner catches the run's panic");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(panicked, "the worker's panic must reach the caller");
+    // The producer stops at the first batch the dead worker refuses: the
+    // first report was received, the second queued, the third refused.
+    // Walking on would delay the panic by a stream that may never end.
+    assert!(
+        pulled.load(Ordering::Relaxed) <= 3,
+        "the producer kept offering"
+    );
 }

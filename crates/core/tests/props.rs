@@ -341,80 +341,6 @@ proptest! {
         }
     }
 
-    /// Merging shard-local OnlinePearson accumulators is equivalent to one
-    /// sequential pass, for ANY split of the stream — the invariant that
-    /// makes the sharded ingest pipeline's dominance tracking independent
-    /// of how gateways are partitioned.
-    #[test]
-    fn online_pearson_merge_matches_sequential(
-        data in prop::collection::vec((0.0f64..1e7, 0.0f64..1e7), 4..120),
-        cut_a in 0.0f64..1.0,
-        cut_b in 0.0f64..1.0,
-    ) {
-        let mut sequential = OnlinePearson::new();
-        for &(x, y) in &data {
-            sequential.push(x, y);
-        }
-        // Split into three runs at arbitrary points.
-        let (lo, hi) = if cut_a <= cut_b { (cut_a, cut_b) } else { (cut_b, cut_a) };
-        let i = (lo * data.len() as f64) as usize;
-        let j = ((hi * data.len() as f64) as usize).max(i);
-        let mut parts: Vec<OnlinePearson> = [&data[..i], &data[i..j], &data[j..]]
-            .iter()
-            .map(|chunk| {
-                let mut p = OnlinePearson::new();
-                for &(x, y) in *chunk {
-                    p.push(x, y);
-                }
-                p
-            })
-            .collect();
-        let mut merged = OnlinePearson::new();
-        for p in &parts {
-            merged.merge(p);
-        }
-        match (sequential.correlation(), merged.correlation()) {
-            (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}"),
-            (a, b) => prop_assert_eq!(a, b),
-        }
-
-        // Merge order must not matter either (associativity/commutativity up
-        // to floating-point tolerance): fold right-to-left.
-        let mut reversed = OnlinePearson::new();
-        parts.reverse();
-        for p in &parts {
-            reversed.merge(p);
-        }
-        match (merged.correlation(), reversed.correlation()) {
-            (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}"),
-            (a, b) => prop_assert_eq!(a, b),
-        }
-    }
-
-    /// Merging with NaN holes in the stream still matches sequential
-    /// pairwise-complete semantics.
-    #[test]
-    fn online_pearson_merge_with_holes(data in prop::collection::vec((holey_value(), holey_value()), 4..80), split in 0.0f64..1.0) {
-        let mut sequential = OnlinePearson::new();
-        for &(x, y) in &data {
-            sequential.push(x, y);
-        }
-        let i = (split * data.len() as f64) as usize;
-        let mut left = OnlinePearson::new();
-        let mut right = OnlinePearson::new();
-        for &(x, y) in &data[..i] {
-            left.push(x, y);
-        }
-        for &(x, y) in &data[i..] {
-            right.push(x, y);
-        }
-        left.merge(&right);
-        match (sequential.correlation(), left.correlation()) {
-            (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}"),
-            (a, b) => prop_assert_eq!(a, b),
-        }
-    }
-
     /// Zero false dismissals: the sketch-pruned sparse matrix agrees with
     /// the dense matrix on every pair at or above the threshold — survivor
     /// values bit-identical, absent pairs certifiably below φ — and the

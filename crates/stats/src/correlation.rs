@@ -279,7 +279,7 @@ pub(crate) fn kendall_complete(xs: &[f64], ys: &[f64]) -> CorrelationTest {
 /// variance of S. Depending only on one side's tie-group sizes, they are
 /// precomputable per series and reusable across every pairing. Public so
 /// the [`crate::kernels`] order walk can produce them (and benches can
-/// check them); construct via [`kendall_ties`]-style group aggregation.
+/// check them); construct via `kendall_ties`-style group aggregation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KendallTies {
     /// Number of tied pairs: Σ t(t−1)/2.

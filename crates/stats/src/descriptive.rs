@@ -53,7 +53,7 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 /// `q` must lie in `[0, 1]`. Returns `NaN` for an all-missing input.
 ///
 /// The two order statistics are found by selection in O(n) expected time,
-/// bit-identical to interpolating over a sorted copy (see [`Selection`]).
+/// bit-identical to interpolating over a sorted copy (see `Selection`).
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile q must be in [0, 1]");
     let mut vals = Vec::with_capacity(xs.len());
@@ -215,7 +215,7 @@ impl BoxplotStats {
     ///
     /// Returns `None` if there is no finite value.
     ///
-    /// Linear time: the quartiles come from selection (see [`Selection`]),
+    /// Linear time: the quartiles come from selection (see `Selection`),
     /// and min/max, whiskers and outlier counts from scans. Every field is
     /// bit-identical to reading them off a stably sorted copy, `-0.0`/`0.0`
     /// ties included: each scan keeps the element a stable sort puts first

@@ -201,7 +201,7 @@ pub fn sxy_fold2(
     (sv, sr)
 }
 
-/// Plain left-to-right product fold Σ x[t]·y[t] — the CCF numerator over a
+/// Plain left-to-right product fold `Σ x[t]·y[t]` — the CCF numerator over a
 /// pre-shifted overlap, in the exact order `ccf` has always summed it.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
@@ -215,7 +215,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// Batched complete-series CCF numerators: for each `lags[l]` computes
-/// Σ_t a[t+k]·b[t] (k ≥ 0) or Σ_t a[t]·b[t−k] (k < 0) over the full overlap,
+/// `Σ_t a[t+k]·b[t]` (k ≥ 0) or `Σ_t a[t]·b[t−k]` (k < 0) over the full overlap,
 /// exactly as a per-lag [`dot`] would — per-lag `t`-ascending order is
 /// preserved, so every cell is bit-identical to the one-at-a-time fold.
 ///
@@ -968,7 +968,7 @@ const MERGE_BASE: usize = 32;
 /// τ-b. The count is an exact integer, so τ is bit-identical no matter how
 /// the counting is organized — which frees the algorithm to be fast:
 ///
-/// * width-[`MERGE_BASE`] base runs are built by counting insertion sort
+/// * width-`MERGE_BASE` base runs are built by counting insertion sort
 ///   (each element's shift distance is exactly its inversion count within
 ///   the run), replacing the five all-branchy narrow merge levels;
 /// * merge levels ping-pong between `v` and `tmp` instead of copying back

@@ -26,7 +26,7 @@
 //! is bit-identical to the direct accumulation (IEEE-754 doubles represent
 //! each integer in range uniquely, and sums of integers under the default
 //! rounding never produce `-0.0`). Bin *boundaries* are computed by the very
-//! same [`bin_layout`] routine `aggregate` uses, so the two paths cannot
+//! same `bin_layout` routine `aggregate` uses, so the two paths cannot
 //! disagree on geometry either. Non-integer series (e.g. normalized rates)
 //! simply fall back to `aggregate` — the caller keeps exactness by
 //! construction, not by accident.

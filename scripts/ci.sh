@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# CI gate: formatting, a determinism lint, lints (warnings denied), build,
-# the full test suite, bench and example smokes (bit-identity, plus the
-# conservation laws every snapshot checks in Rust with `check_laws`), the
-# crash-recovery and fault-injection drills, and the unified perf-budget
-# gate (scripts/perf_gate.py) over every committed bench baseline and the
-# in-run ratios the durable and kernels smokes measure. Run from anywhere
-# inside the repository.
+# CI gate: formatting, a determinism lint, lints and rustdoc (warnings
+# denied), build, the full test suite, bench and example smokes
+# (bit-identity, plus the conservation laws every snapshot checks in Rust
+# with `check_laws`), the crash-recovery and fault-injection drills, and
+# the unified perf-budget gate (scripts/perf_gate.py) over every committed
+# bench baseline and the in-run ratios the durable and kernels smokes
+# measure. Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +22,11 @@ fi
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (deny warnings) =="
+# Broken and private intra-doc links fail the build, so a deleted type
+# cannot leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== cargo build --release =="
 cargo build --release
